@@ -64,17 +64,9 @@ pub fn initialize_threaded(
     let l = st.num_slices();
     let mut concat_u = Matrix::zeros(shape[0], l * k);
     let mut concat_v = Matrix::zeros(shape[1], l * k);
-    let scaled = pool::parallel_map(l, threads.min(l), |i| {
-        let sl = &st.slices()[i];
-        (sl.us(), sl.vs())
-    });
-    for (i, (us, vs)) in scaled.iter().enumerate() {
-        for r in 0..shape[0] {
-            concat_u.row_mut(r)[i * k..i * k + us.cols()].copy_from_slice(us.row(r));
-        }
-        for r in 0..shape[1] {
-            concat_v.row_mut(r)[i * k..i * k + vs.cols()].copy_from_slice(vs.row(r));
-        }
+    for (i, sl) in st.slices().iter().enumerate() {
+        write_scaled(&mut concat_u, i * k, &sl.u, &sl.s);
+        write_scaled(&mut concat_v, i * k, &sl.v, &sl.s);
     }
     let a1 = leading_lsv_adaptive(&concat_u, j1)?;
     let a2 = leading_lsv_adaptive(&concat_v, j2)?;
@@ -95,6 +87,18 @@ pub fn initialize_threaded(
         core = ttm_t(&core, &factors[mode], mode)?;
     }
     Ok(Initialization { factors, core })
+}
+
+/// Writes `f diag(s)` into columns `c0..c0 + f.cols()` of `dst` — the
+/// same per-element product as `scale_cols`, without the intermediate
+/// copy of every slice factor.
+fn write_scaled(dst: &mut Matrix, c0: usize, f: &Matrix, s: &[f64]) {
+    for r in 0..f.rows() {
+        let out = &mut dst.row_mut(r)[c0..c0 + f.cols()];
+        for ((o, &x), &sv) in out.iter_mut().zip(f.row(r)).zip(s) {
+            *o = x * sv;
+        }
+    }
 }
 
 /// The cubic Gram-eigen route is exact but costs `min(m, n)³`; past this

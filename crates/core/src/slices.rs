@@ -97,7 +97,7 @@ impl SlicedTensor {
         cfg: &DTuckerConfig,
     ) -> Result<Self> {
         cfg.validate(x.shape())?;
-        let mut src = InMemorySource::with_perm(x, perm)?;
+        let mut src = InMemorySource::borrowed(x, perm)?;
         Self::compress_source(&mut src, cfg)
     }
 
@@ -212,7 +212,7 @@ impl SlicedTensor {
         // Per-slice energy truncation. The discarded-energy estimate uses
         // the exact slice norm, so the bound is honest even for randomized
         // slice SVDs.
-        let internal = permute(x, &st.perm)?;
+        let mut src = InMemorySource::borrowed(x, &st.perm)?;
         let j_floor = st
             .perm
             .iter()
@@ -222,7 +222,7 @@ impl SlicedTensor {
             .unwrap_or(1);
         for (l, sl) in st.slices.iter_mut().enumerate() {
             let slice_norm_sq = {
-                let m = internal.frontal_slice(l)?;
+                let m = src.load_slice(l)?;
                 let n = m.fro_norm();
                 n * n
             };
@@ -390,25 +390,10 @@ impl SlicedTensor {
                 details: format!("block order {} vs tensor order {}", block.order(), n),
             });
         }
-        // Check all non-temporal dims match (in original order).
-        let inv = inverse_permutation(&self.perm);
-        for orig_mode in 0..n - 1 {
-            let expected = self.shape[inv[orig_mode]];
-            if block.shape()[orig_mode] != expected {
-                return Err(CoreError::InvalidConfig {
-                    details: format!(
-                        "block mode {orig_mode} is {}, expected {expected}",
-                        block.shape()[orig_mode]
-                    ),
-                });
-            }
-        }
-        let internal = permute(block, &self.perm)?;
-        let new_slices = compress_slices(&internal, self.slice_rank, cfg, self.slices.len())?;
-        self.slices.extend(new_slices);
-        self.shape[n - 1] += block.shape()[n - 1];
-        self.norm_x_sq += block.fro_norm_sq();
-        Ok(())
+        // The block's slices are gathered in this representation's order;
+        // append_source checks every non-temporal dimension.
+        let mut src = InMemorySource::borrowed(block, &self.perm)?;
+        self.append_source(&mut src, cfg)
     }
 
     /// Appends a block presented through a [`SliceSource`] that already
@@ -444,27 +429,6 @@ impl SlicedTensor {
         self.norm_x_sq += src.fro_norm_sq()?;
         Ok(())
     }
-}
-
-/// Compresses every frontal slice of `internal`, fanning out across the
-/// shared worker pool (`cfg.threads` resolved through the pool policy;
-/// `0` means auto). Per-slice RNG seeds are derived from `cfg.seed` and
-/// the **global** slice index (`index_offset + l`), so results are
-/// identical for any thread count.
-fn compress_slices(
-    internal: &DenseTensor,
-    k: usize,
-    cfg: &DTuckerConfig,
-    index_offset: usize,
-) -> Result<Vec<SliceSvd>> {
-    let num = internal.num_frontal_slices();
-    let threads = pool::resolve_threads(cfg.threads).min(num);
-    pool::parallel_map(num, threads, |l| {
-        let m = internal.frontal_slice(l)?;
-        compress_one(&m, k, cfg, slice_seed(cfg.seed, index_offset + l))
-    })
-    .into_iter()
-    .collect()
 }
 
 /// Compresses slices `[index_offset, index_offset + num)` drawn from a

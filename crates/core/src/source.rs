@@ -9,7 +9,9 @@
 //!
 //! Two implementations live here:
 //!
-//! * [`InMemorySource`] — wraps a [`DenseTensor`] (the classic path);
+//! * [`InMemorySource`] — wraps a resident [`DenseTensor`] (the classic
+//!   path), borrowed or copied but never permuted: each slice of the
+//!   permuted view is gathered from the original storage on demand;
 //! * [`SyntheticSource`] — generates seeded low-rank slices on demand, so
 //!   benchmarks can exercise tensors far larger than RAM.
 //!
@@ -43,9 +45,11 @@ use dtucker_linalg::qr::orthonormalize;
 use dtucker_linalg::random::gaussian_matrix;
 use dtucker_linalg::svd::scale_cols;
 use dtucker_tensor::dense::DenseTensor;
-use dtucker_tensor::unfold::{descending_mode_order, permute};
+use dtucker_tensor::permuted::PermutedSlices;
+use dtucker_tensor::unfold::descending_mode_order;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// On-demand producer of frontal slices in internal (permuted) mode order.
 ///
@@ -97,54 +101,74 @@ pub trait SliceSource {
     }
 }
 
-/// [`SliceSource`] over a resident [`DenseTensor`] (permuted once at
-/// construction). This is what the classic `SlicedTensor::compress` path
-/// uses under the hood.
+/// [`SliceSource`] over a resident [`DenseTensor`].
+///
+/// The tensor is never permuted: [`load_slices`](SliceSource::load_slices)
+/// gathers slices of the virtually permuted tensor straight from the
+/// original storage (see [`PermutedSlices::gather`]). [`borrowed`](Self::borrowed)
+/// wraps the caller's tensor without copying it, which is what
+/// `SlicedTensor::compress` uses, so the approximation phase adds only the
+/// slices in flight to the input's footprint. [`new`](Self::new) and
+/// [`with_perm`](Self::with_perm) take one unpermuted copy, for callers
+/// that need a source independent of the tensor's lifetime.
 #[derive(Debug, Clone)]
-pub struct InMemorySource {
-    internal: DenseTensor,
-    perm: Vec<usize>,
-    norm_x_sq: f64,
+pub struct InMemorySource<'a> {
+    x: Cow<'a, DenseTensor>,
+    view: PermutedSlices,
+    norm_cache: Option<f64>,
 }
 
-impl InMemorySource {
-    /// Wraps a tensor with the paper's default reordering (two largest
+impl InMemorySource<'static> {
+    /// Copies a tensor with the paper's default reordering (two largest
     /// modes first).
     pub fn new(x: &DenseTensor) -> Result<Self> {
         Self::with_perm(x, &descending_mode_order(x.shape()))
     }
 
-    /// Wraps a tensor with an explicit mode permutation.
+    /// Copies a tensor with an explicit mode permutation.
     pub fn with_perm(x: &DenseTensor, perm: &[usize]) -> Result<Self> {
-        let norm_x_sq = x.fro_norm_sq();
-        let internal = permute(x, perm)?;
+        Self::from_cow(Cow::Owned(x.clone()), perm)
+    }
+}
+
+impl<'a> InMemorySource<'a> {
+    /// Borrows a tensor with an explicit mode permutation; nothing is
+    /// copied.
+    pub fn borrowed(x: &'a DenseTensor, perm: &[usize]) -> Result<Self> {
+        Self::from_cow(Cow::Borrowed(x), perm)
+    }
+
+    fn from_cow(x: Cow<'a, DenseTensor>, perm: &[usize]) -> Result<Self> {
+        let view = PermutedSlices::new(x.shape(), perm)?;
         Ok(InMemorySource {
-            internal,
-            perm: perm.to_vec(),
-            norm_x_sq,
+            x,
+            view,
+            norm_cache: None,
         })
     }
 }
 
-impl SliceSource for InMemorySource {
+impl SliceSource for InMemorySource<'_> {
     fn shape(&self) -> &[usize] {
-        self.internal.shape()
+        self.view.shape()
     }
 
     fn perm(&self) -> &[usize] {
-        &self.perm
-    }
-
-    fn num_slices(&self) -> usize {
-        self.internal.num_frontal_slices()
+        self.view.perm()
     }
 
     fn load_slice(&mut self, l: usize) -> Result<Matrix> {
-        Ok(self.internal.frontal_slice(l)?)
+        Ok(self.view.gather_one(&mut self.x.as_slice(), l)?)
+    }
+
+    /// Gathers the chunk straight from the tensor's storage, sharing the
+    /// cache lines neighbouring slices have in common.
+    fn load_slices(&mut self, start: usize, end: usize) -> Result<Vec<Matrix>> {
+        Ok(self.view.gather(&mut self.x.as_slice(), start, end)?)
     }
 
     fn fro_norm_sq(&mut self) -> Result<f64> {
-        Ok(self.norm_x_sq)
+        Ok(*self.norm_cache.get_or_insert_with(|| self.x.fro_norm_sq()))
     }
 }
 
@@ -267,6 +291,7 @@ impl SliceSource for SyntheticSource {
 mod tests {
     use super::*;
     use dtucker_tensor::random::low_rank_plus_noise;
+    use dtucker_tensor::unfold::permute;
 
     #[test]
     fn in_memory_source_matches_tensor() {
@@ -289,6 +314,34 @@ mod tests {
             );
         }
         assert_eq!(src.slice_bytes(), 12 * 8 * 8);
+    }
+
+    #[test]
+    fn borrowed_and_owned_sources_agree_for_every_permutation() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = low_rank_plus_noise(&[5, 7, 3], &[2, 2, 2], 0.1, &mut rng).unwrap();
+        for perm in [
+            [0usize, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let internal = permute(&x, &perm).unwrap();
+            let mut borrowed = InMemorySource::borrowed(&x, &perm).unwrap();
+            let mut owned = InMemorySource::with_perm(&x, &perm).unwrap();
+            assert_eq!(borrowed.shape(), internal.shape());
+            assert_eq!(borrowed.num_slices(), internal.num_frontal_slices());
+            for l in 0..borrowed.num_slices() {
+                let want = internal.frontal_slice(l).unwrap();
+                assert_eq!(borrowed.load_slice(l).unwrap(), want);
+                assert_eq!(owned.load_slice(l).unwrap(), want);
+            }
+            assert!(borrowed.load_slice(borrowed.num_slices()).is_err());
+        }
+        assert!(InMemorySource::borrowed(&x, &[0, 1]).is_err());
+        assert!(InMemorySource::with_perm(&x, &[0, 0, 1]).is_err());
     }
 
     #[test]

@@ -309,6 +309,13 @@ pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let (m, n, p) = (a.rows(), a.cols(), b.cols());
+    if p > n {
+        // A short, wide result (e.g. the projection QᵀX of a randomized
+        // SVD): B would be packed whole only to feed a few output rows.
+        // (BᵀA)ᵀ packs the narrow operand instead; every entry is the same
+        // products summed over the same KC blocks, so it is bit-identical.
+        return t_matmul(b, a).transpose();
+    }
     let mut c = Matrix::zeros(n, p);
     let bp = pack_b(b.as_slice(), m, p);
     let src = ASource::Cols {
@@ -575,6 +582,22 @@ mod tests {
             let c = t_matmul(&a, &b);
             let expected = matmul(&a.transpose(), &b);
             assert!(c.approx_eq(&expected, 1e-9), "{}x{}x{}", m, n, p);
+        }
+    }
+
+    #[test]
+    fn t_matmul_orientation_is_bit_identical() {
+        // Wide results take the swapped route; it must agree bit for bit
+        // with the direct kernel (t_matmul_into), across a KC boundary too.
+        for (m, n, p) in [(700, 15, 320), (300, 3, 40), (9, 2, 5)] {
+            let a = random(m, n, 21);
+            let b = random(m, p, 22);
+            let mut direct = vec![0.0; n * p];
+            t_matmul_into(a.as_slice(), b.as_slice(), &mut direct, m, n, p);
+            let wide = t_matmul(&a, &b);
+            assert_eq!(wide.shape(), (n, p));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(wide.as_slice()), bits(&direct), "{m}x{n}ᵀ · {m}x{p}");
         }
     }
 

@@ -3,20 +3,9 @@
 /// Frobenius / Euclidean norm of a slice with overflow-safe scaling
 /// (LAPACK `dnrm2`-style).
 pub fn fro_norm(v: &[f64]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for &x in v {
-        if x != 0.0 {
-            let ax = x.abs();
-            if scale < ax {
-                ssq = 1.0 + ssq * (scale / ax).powi(2);
-                scale = ax;
-            } else {
-                ssq += (ax / scale).powi(2);
-            }
-        }
-    }
-    scale * ssq.sqrt()
+    let mut acc = FroNormAccumulator::new();
+    acc.push_slice(v);
+    acc.norm()
 }
 
 /// Incremental state of the [`fro_norm`] computation.
@@ -60,10 +49,33 @@ impl FroNormAccumulator {
         }
     }
 
-    /// Feeds a slice of elements in order.
+    /// Feeds a slice of elements in order, bit-identically to calling
+    /// [`push`](Self::push) on each.
+    ///
+    /// Blocks whose largest magnitude cannot raise the running scale take
+    /// a fast path: every element then contributes `(|x|/scale)²` at a
+    /// fixed scale, so the quotients are formed independently (and
+    /// vectorize) while the additions into `ssq` still run one by one in
+    /// element order. A zero element adds exactly `+0.0`, which leaves
+    /// `ssq ≥ 1` unchanged, just as `push` skips it.
     pub fn push_slice(&mut self, v: &[f64]) {
-        for &x in v {
-            self.push(x);
+        const B: usize = 64;
+        let mut terms = [0.0f64; B];
+        for block in v.chunks(B) {
+            let max = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+            if !(self.scale > 0.0 && max <= self.scale) {
+                for &x in block {
+                    self.push(x);
+                }
+                continue;
+            }
+            let scale = self.scale;
+            for (t, &x) in terms.iter_mut().zip(block) {
+                *t = (x.abs() / scale).powi(2);
+            }
+            for &t in &terms[..block.len()] {
+                self.ssq += t;
+            }
         }
     }
 

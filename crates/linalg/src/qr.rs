@@ -18,6 +18,12 @@ pub struct Qr {
 }
 
 /// Computes the thin QR decomposition of `a` with Householder reflectors.
+///
+/// Each reflector is applied row by row on the row-major storage (see
+/// [`apply_reflector`]), so the trailing-matrix update streams contiguous
+/// rows instead of striding down columns. Every dot product `vᵀ·column` is
+/// still accumulated over the rows in ascending order, which keeps the
+/// result bit-identical to the textbook column-at-a-time formulation.
 pub fn qr_thin(a: &Matrix) -> Qr {
     let (m, n) = a.shape();
     let t = m.min(n);
@@ -40,19 +46,10 @@ pub fn qr_thin(a: &Matrix) -> Qr {
         v[0] -= alpha;
         let vnorm_sq = norms::norm_sq(&v);
         let beta = if vnorm_sq == 0.0 { 0.0 } else { 2.0 / vnorm_sq };
-        // Apply H = I - beta v vᵀ to work[k.., k..].
+        // Apply H = I - beta v vᵀ to work[k.., k+1..]; column k itself is
+        // overwritten just below, so it is skipped.
         if beta != 0.0 {
-            for c in k..n {
-                let mut dot = 0.0;
-                for (i, &vi) in v.iter().enumerate() {
-                    dot += vi * work.get(k + i, c);
-                }
-                let s = beta * dot;
-                for (i, &vi) in v.iter().enumerate() {
-                    let cur = work.get(k + i, c);
-                    work.set(k + i, c, cur - s * vi);
-                }
-            }
+            apply_reflector(work.as_mut_slice(), n, k, k + 1, &v, beta);
         }
         // The column is now (alpha, 0, ..., 0)ᵀ below row k; enforce exactly.
         work.set(k, k, alpha);
@@ -66,9 +63,7 @@ pub fn qr_thin(a: &Matrix) -> Qr {
     // R = top t rows of the transformed matrix (upper triangular by construction).
     let mut r = Matrix::zeros(t, n);
     for i in 0..t {
-        for j in i..n {
-            r.set(i, j, work.get(i, j));
-        }
+        r.row_mut(i)[i..].copy_from_slice(&work.row(i)[i..]);
     }
 
     // Q = H_0 H_1 ... H_{t-1} applied to the first t columns of I_m.
@@ -76,26 +71,75 @@ pub fn qr_thin(a: &Matrix) -> Qr {
     for i in 0..t {
         q.set(i, i, 1.0);
     }
+    // Before H_k is applied, rows k.. of columns 0..k still hold the
+    // identity's exact +0.0, and a finite reflector maps them to +0.0 again
+    // (its dot product with them is +0.0, so the update subtracts ±0.0).
+    // Those columns are skipped while that holds; a non-finite reflector
+    // would spread NaN into them, so from then on every column is updated.
+    let mut zero_below = true;
     for k in (0..t).rev() {
         let beta = betas[k];
         if beta == 0.0 {
             continue;
         }
         let v = &vs[k];
-        for c in 0..t {
-            let mut dot = 0.0;
-            for (i, &vi) in v.iter().enumerate() {
-                dot += vi * q.get(k + i, c);
-            }
-            let s = beta * dot;
-            for (i, &vi) in v.iter().enumerate() {
-                let cur = q.get(k + i, c);
-                q.set(k + i, c, cur - s * vi);
-            }
-        }
+        zero_below &= beta.is_finite() && v.iter().all(|x| x.is_finite());
+        let c0 = if zero_below { k } else { 0 };
+        apply_reflector(q.as_mut_slice(), t, k, c0, v, beta);
     }
 
     Qr { q, r }
+}
+
+/// Columns of the trailing matrix one [`apply_reflector`] pass keeps in
+/// registers.
+const REFLECTOR_BLOCK: usize = 8;
+
+/// Applies `H = I − β v vᵀ` to rows `r0..r0 + v.len()`, columns `c0..cols`
+/// of the row-major matrix `data` (`cols` wide).
+///
+/// Per block of [`REFLECTOR_BLOCK`] columns, `w = vᵀ W` is accumulated row
+/// by row into a register-resident array (each `w[c]` summed over the rows
+/// in ascending order, as a column dot product would be), scaled by `β`,
+/// and then every row receives the rank-1 update `W[i, c] −= w[c]·v[i]`.
+fn apply_reflector(data: &mut [f64], cols: usize, r0: usize, c0: usize, v: &[f64], beta: f64) {
+    let rows = &mut data[r0 * cols..(r0 + v.len()) * cols];
+    let mut cb = c0;
+    while cb + REFLECTOR_BLOCK <= cols {
+        reflect_block::<REFLECTOR_BLOCK>(rows, cols, cb, v, beta);
+        cb += REFLECTOR_BLOCK;
+    }
+    // Remainder columns, one narrower block each.
+    match cols - cb {
+        0 => {}
+        1 => reflect_block::<1>(rows, cols, cb, v, beta),
+        2 => reflect_block::<2>(rows, cols, cb, v, beta),
+        3 => reflect_block::<3>(rows, cols, cb, v, beta),
+        4 => reflect_block::<4>(rows, cols, cb, v, beta),
+        5 => reflect_block::<5>(rows, cols, cb, v, beta),
+        6 => reflect_block::<6>(rows, cols, cb, v, beta),
+        _ => reflect_block::<7>(rows, cols, cb, v, beta),
+    }
+}
+
+/// One `W`-column block of [`apply_reflector`]: columns `cb..cb + W` of the
+/// rows in `rows`.
+#[inline(always)]
+fn reflect_block<const W: usize>(rows: &mut [f64], cols: usize, cb: usize, v: &[f64], beta: f64) {
+    let mut w = [0.0f64; W];
+    for (row, &vi) in rows.chunks_exact(cols).zip(v) {
+        for (acc, &x) in w.iter_mut().zip(&row[cb..cb + W]) {
+            *acc += vi * x;
+        }
+    }
+    for s in &mut w {
+        *s *= beta;
+    }
+    for (row, &vi) in rows.chunks_exact_mut(cols).zip(v) {
+        for (x, &s) in row[cb..cb + W].iter_mut().zip(&w) {
+            *x -= s * vi;
+        }
+    }
 }
 
 /// Returns an orthonormal basis for the column space of `a` (the thin-QR `Q`

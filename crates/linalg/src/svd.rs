@@ -136,6 +136,11 @@ pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
 }
 
 /// One-sided Jacobi SVD for `m ≥ n` (callers guarantee near-square input).
+///
+/// The iteration runs on column-contiguous copies (`bt` holds the columns
+/// of `B` as rows, `vt` those of `V`), so every pair sweep and rotation
+/// streams two contiguous vectors. Sums and rotations follow the same
+/// order as a column-by-column loop over row-major storage would.
 fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
@@ -146,8 +151,8 @@ fn jacobi_svd(a: &Matrix) -> Result<Svd> {
         });
     }
     // Work on columns of B; rotate V alongside.
-    let mut b = a.clone();
-    let mut v = Matrix::identity(n);
+    let mut bt = a.transpose();
+    let mut vt = Matrix::identity(n);
     let eps = f64::EPSILON;
     // Absolute chatter floor: off-diagonal mass below this is invisible in
     // the singular values, so rotating on it would loop forever on noise.
@@ -159,13 +164,12 @@ fn jacobi_svd(a: &Matrix) -> Result<Svd> {
         let mut rotated = false;
         for p in 0..n {
             for q in (p + 1)..n {
+                let (bp, bq) = row_pair(bt.as_mut_slice(), m, p, q);
                 let (mut app, mut aqq, mut apq) = (0.0f64, 0.0f64, 0.0f64);
-                for r in 0..m {
-                    let bp = b.get(r, p);
-                    let bq = b.get(r, q);
-                    app += bp * bp;
-                    aqq += bq * bq;
-                    apq += bp * bq;
+                for (&xp, &xq) in bp.iter().zip(bq.iter()) {
+                    app += xp * xp;
+                    aqq += xq * xq;
+                    apq += xp * xq;
                 }
                 if apq.abs() <= eps * (app * aqq).sqrt() || apq.abs() <= floor {
                     continue;
@@ -176,18 +180,9 @@ fn jacobi_svd(a: &Matrix) -> Result<Svd> {
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for r in 0..m {
-                    let bp = b.get(r, p);
-                    let bq = b.get(r, q);
-                    b.set(r, p, c * bp - s * bq);
-                    b.set(r, q, s * bp + c * bq);
-                }
-                for r in 0..n {
-                    let vp = v.get(r, p);
-                    let vq = v.get(r, q);
-                    v.set(r, p, c * vp - s * vq);
-                    v.set(r, q, s * vp + c * vq);
-                }
+                rotate(bp, bq, c, s);
+                let (vp, vq) = row_pair(vt.as_mut_slice(), n, p, q);
+                rotate(vp, vq, c, s);
             }
         }
         if !rotated {
@@ -203,7 +198,7 @@ fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     }
 
     // Extract singular values and left vectors.
-    let mut s: Vec<f64> = (0..n).map(|j| norms::fro_norm(&b.col(j))).collect();
+    let s: Vec<f64> = (0..n).map(|j| norms::fro_norm(bt.row(j))).collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| s[j].partial_cmp(&s[i]).unwrap_or(std::cmp::Ordering::Equal));
 
@@ -214,22 +209,37 @@ fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     let mut new_s = vec![0.0; n];
     for (dst, &src) in order.iter().enumerate() {
         new_s[dst] = s[src];
-        let col = b.col(src);
         if s[src] > tiny && s[src] > 0.0 {
             let inv = 1.0 / s[src];
-            for r in 0..m {
-                u.set(r, dst, col[r] * inv);
+            for (r, &x) in bt.row(src).iter().enumerate() {
+                u.set(r, dst, x * inv);
             }
         }
-        for r in 0..n {
-            vperm.set(r, dst, v.get(r, src));
-        }
+        vperm.set_col(dst, vt.row(src));
     }
-    s = new_s;
     // Fill any null-space columns of U with an orthonormal completion so U
     // always has orthonormal columns.
-    complete_orthonormal_cols(&mut u, &s, tiny);
-    Ok(Svd { u, s, v: vperm })
+    complete_orthonormal_cols(&mut u, &new_s, tiny);
+    Ok(Svd {
+        u,
+        s: new_s,
+        v: vperm,
+    })
+}
+
+/// Rows `p < q` of the row-major `data` (`width` wide), borrowed together.
+fn row_pair(data: &mut [f64], width: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = data.split_at_mut(q * width);
+    (&mut head[p * width..(p + 1) * width], &mut tail[..width])
+}
+
+/// Plane rotation `(x, y) ← (c·x − s·y, s·x + c·y)`, element by element.
+fn rotate(xs: &mut [f64], ys: &mut [f64], c: f64, s: f64) {
+    for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+        let (xp, yq) = (*x, *y);
+        *x = c * xp - s * yq;
+        *y = s * xp + c * yq;
+    }
 }
 
 /// Replaces (near-)zero columns of `u` (those with `s[j] <= tiny`) with unit

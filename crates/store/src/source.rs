@@ -2,19 +2,14 @@
 //!
 //! [`DtenSliceSource`] implements [`SliceSource`] directly against the
 //! file: the tensor's f64 payload is stored in Fortran order over the
-//! **original** modes, and each requested frontal slice of the **permuted**
-//! view is gathered with positioned reads. Only the header, one slice
-//! buffer, and the norm cache are ever resident, so the approximation
-//! phase runs in `O(I₁·I₂·chunk)` memory regardless of the tensor size.
-//!
-//! Reads pick the cheapest access pattern the permutation allows:
-//!
-//! * whole-slice read when the permuted slice is contiguous on disk;
-//! * per-column / per-row contiguous reads when the leading internal mode
-//!   maps to original mode 0;
-//! * bounded span reads (one read per column, strided in memory) otherwise,
-//!   falling back to element reads only when a span would exceed
-//!   [`MAX_SPAN_BYTES`].
+//! **original** modes, and each chunk of frontal slices of the **permuted**
+//! view is gathered with positioned reads by
+//! [`PermutedSlices::gather`] — the same strategy the in-memory source
+//! uses, so the slices of a chunk that overlap on disk share each read.
+//! Only the header, the slices of one chunk, one reused read buffer, and
+//! the norm cache are ever resident, so the approximation phase runs in
+//! `O(I₁·I₂·chunk)` memory regardless of the tensor size. Line spans
+//! beyond [`MAX_SPAN_BYTES`] are read element by element.
 
 use crate::error::{Result, StoreError};
 use dtucker_core::source::SliceSource;
@@ -22,9 +17,9 @@ use dtucker_core::Result as CoreResult;
 use dtucker_linalg::matrix::Matrix;
 use dtucker_linalg::norms::FroNormAccumulator;
 use dtucker_tensor::io::{header_len, read_header};
+use dtucker_tensor::permuted::{ElementRuns, PermutedSlices};
 use dtucker_tensor::unfold::descending_mode_order;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Largest single gather read the span strategy may issue (16 MiB). Spans
@@ -35,17 +30,45 @@ pub const MAX_SPAN_BYTES: usize = 16 << 20;
 /// tensor straight from a `.dten` file.
 #[derive(Debug)]
 pub struct DtenSliceSource {
-    file: File,
     path: PathBuf,
-    /// Shape in the internal (permuted) order.
-    shape: Vec<usize>,
-    /// Internal position → original mode.
-    perm: Vec<usize>,
-    /// Fortran strides of the **original** shape, in elements.
-    strides: Vec<usize>,
+    /// Where each permuted slice lives in the file's Fortran payload.
+    view: PermutedSlices,
+    runs: FileRuns,
+    norm_cache: Option<f64>,
+}
+
+/// The payload of an open `.dten` file as [`ElementRuns`]: positioned reads
+/// into one reused buffer.
+#[derive(Debug)]
+struct FileRuns {
+    file: File,
     /// Byte offset of the f64 payload.
     data_offset: u64,
-    norm_cache: Option<f64>,
+    /// Raw bytes of the last read.
+    raw: Vec<u8>,
+    /// Decoded values of the last read.
+    vals: Vec<f64>,
+}
+
+impl ElementRuns for FileRuns {
+    type Error = StoreError;
+
+    fn run(&mut self, offset: usize, len: usize) -> Result<&[f64]> {
+        self.raw.resize(len * 8, 0);
+        let byte = self.data_offset + offset as u64 * 8;
+        read_exact_at(&mut self.file, &mut self.raw, byte)?;
+        self.vals.clear();
+        self.vals.extend(
+            self.raw
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(crate::format::arr8(b))),
+        );
+        Ok(&self.vals)
+    }
+
+    fn max_run(&self) -> usize {
+        MAX_SPAN_BYTES / 8
+    }
 }
 
 impl DtenSliceSource {
@@ -69,20 +92,8 @@ impl DtenSliceSource {
                 path.display()
             )));
         }
-        if perm.len() != order {
-            return Err(StoreError::Mismatch(format!(
-                "permutation {perm:?} does not fit an order-{order} tensor"
-            )));
-        }
-        let mut seen = vec![false; order];
-        for &p in perm {
-            if p >= order || seen[p] {
-                return Err(StoreError::Mismatch(format!(
-                    "{perm:?} is not a permutation of 0..{order}"
-                )));
-            }
-            seen[p] = true;
-        }
+        let view =
+            PermutedSlices::new(&orig, perm).map_err(|e| StoreError::Mismatch(e.to_string()))?;
         // Validate the payload length once so later reads can't run off the
         // end of a truncated file.
         let numel: u64 = orig.iter().map(|&d| d as u64).product();
@@ -95,18 +106,15 @@ impl DtenSliceSource {
                 path.display()
             )));
         }
-        let mut strides = vec![1usize; order];
-        for m in 1..order {
-            strides[m] = strides[m - 1] * orig[m - 1];
-        }
-        let shape: Vec<usize> = perm.iter().map(|&p| orig[p]).collect();
         Ok(DtenSliceSource {
-            file,
             path,
-            shape,
-            perm: perm.to_vec(),
-            strides,
-            data_offset,
+            view,
+            runs: FileRuns {
+                file,
+                data_offset,
+                raw: Vec::new(),
+                vals: Vec::new(),
+            },
             norm_cache: None,
         })
     }
@@ -122,102 +130,18 @@ impl DtenSliceSource {
         &self.path
     }
 
-    /// Element offset (into the payload) of internal element
-    /// `(0, 0, t₂, …)` for frontal slice `l`, plus the two leading strides.
-    fn slice_geometry(&self, l: usize) -> (usize, usize, usize) {
-        let mut base = 0usize;
-        let mut rem = l;
-        for (p, &dim) in self.shape.iter().enumerate().skip(2) {
-            let t = rem % dim;
-            rem /= dim;
-            base += t * self.strides[self.perm[p]];
-        }
-        (base, self.strides[self.perm[0]], self.strides[self.perm[1]])
-    }
-
-    fn read_elements_at(&mut self, elem_offset: usize, out: &mut [f64]) -> Result<()> {
-        let byte = self.data_offset + elem_offset as u64 * 8;
-        self.file.seek(SeekFrom::Start(byte))?;
-        let mut raw = vec![0u8; out.len() * 8];
-        self.file.read_exact(&mut raw)?;
-        for (dst, chunk) in out.iter_mut().zip(raw.chunks_exact(8)) {
-            *dst = f64::from_le_bytes(crate::format::arr8(chunk));
-        }
-        Ok(())
-    }
-
-    fn gather_slice(&mut self, l: usize) -> Result<Matrix> {
-        let (i1, i2) = (self.shape[0], self.shape[1]);
-        let (base, s0, s1) = self.slice_geometry(l);
-        let mut m = Matrix::zeros(i1, i2);
-
-        if s0 == 1 && s1 == i1 {
-            // The permuted slice is one contiguous window (identity leading
-            // permutation): a single read, then transpose into row-major.
-            let mut col_major = vec![0.0f64; i1 * i2];
-            self.read_elements_at(base, &mut col_major)?;
-            for c in 0..i2 {
-                for r in 0..i1 {
-                    m.set(r, c, col_major[c * i1 + r]);
-                }
-            }
-        } else if s1 == 1 {
-            // Rows are contiguous on disk: one read per row.
-            for r in 0..i1 {
-                self.read_elements_at(base + r * s0, m.row_mut(r))?;
-            }
-        } else if s0 == 1 {
-            // Columns are contiguous on disk: one read per column.
-            let mut col = vec![0.0f64; i1];
-            for c in 0..i2 {
-                self.read_elements_at(base + c * s1, &mut col)?;
-                for (r, &v) in col.iter().enumerate() {
-                    m.set(r, c, v);
-                }
-            }
-        } else {
-            // General gather: each column is an arithmetic progression with
-            // step s0. Read its bounding span in one go when reasonable,
-            // element-by-element otherwise.
-            let span_elems = (i1 - 1) * s0 + 1;
-            if span_elems * 8 <= MAX_SPAN_BYTES {
-                let mut span = vec![0.0f64; span_elems];
-                for c in 0..i2 {
-                    self.read_elements_at(base + c * s1, &mut span)?;
-                    for r in 0..i1 {
-                        m.set(r, c, span[r * s0]);
-                    }
-                }
-            } else {
-                let mut one = [0.0f64; 1];
-                for c in 0..i2 {
-                    for r in 0..i1 {
-                        self.read_elements_at(base + c * s1 + r * s0, &mut one)?;
-                        m.set(r, c, one[0]);
-                    }
-                }
-            }
-        }
-        Ok(m)
-    }
-
     fn stream_norm(&mut self) -> Result<f64> {
         // Feed the payload in file (= original Fortran) order, exactly the
         // order `DenseTensor::fro_norm_sq` walks, so the result is
         // bit-identical to the in-memory norm.
-        self.file.seek(SeekFrom::Start(self.data_offset))?;
-        let numel: usize = self.shape.iter().product();
+        const BLOCK: usize = 1 << 15;
+        let numel: usize = self.view.shape().iter().product();
         let mut acc = FroNormAccumulator::new();
-        let mut reader = BufReader::with_capacity(1 << 20, &mut self.file);
-        let mut buf = vec![0u8; 8 * 4096];
-        let mut left = numel * 8;
-        while left > 0 {
-            let take = left.min(buf.len());
-            reader.read_exact(&mut buf[..take])?;
-            for chunk in buf[..take].chunks_exact(8) {
-                acc.push(f64::from_le_bytes(crate::format::arr8(chunk)));
-            }
-            left -= take;
+        let mut done = 0;
+        while done < numel {
+            let take = (numel - done).min(BLOCK);
+            acc.push_slice(self.runs.run(done, take)?);
+            done += take;
         }
         Ok(acc.norm_sq())
     }
@@ -229,20 +153,23 @@ fn to_core_err(e: StoreError) -> dtucker_core::CoreError {
 
 impl SliceSource for DtenSliceSource {
     fn shape(&self) -> &[usize] {
-        &self.shape
+        self.view.shape()
     }
 
     fn perm(&self) -> &[usize] {
-        &self.perm
+        self.view.perm()
     }
 
     fn load_slice(&mut self, l: usize) -> CoreResult<Matrix> {
-        if l >= self.num_slices() {
-            return Err(dtucker_core::CoreError::InvalidConfig {
-                details: format!("slice {l} out of range (have {})", self.num_slices()),
-            });
-        }
-        self.gather_slice(l).map_err(to_core_err)
+        self.view.gather_one(&mut self.runs, l).map_err(to_core_err)
+    }
+
+    /// Loads a chunk, sharing each line read among the chunk's slices
+    /// whose spans overlap on disk.
+    fn load_slices(&mut self, start: usize, end: usize) -> CoreResult<Vec<Matrix>> {
+        self.view
+            .gather(&mut self.runs, start, end)
+            .map_err(to_core_err)
     }
 
     fn fro_norm_sq(&mut self) -> CoreResult<f64> {
@@ -255,9 +182,24 @@ impl SliceSource for DtenSliceSource {
     }
 }
 
+/// Positioned read of exactly `buf.len()` bytes at `offset`.
+#[cfg(unix)]
+fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Positioned read of exactly `buf.len()` bytes at `offset`.
+#[cfg(not(unix))]
+fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtucker_core::source::InMemorySource;
     use dtucker_tensor::dense::DenseTensor;
     use dtucker_tensor::io::save;
     use dtucker_tensor::random::low_rank_plus_noise;
@@ -271,10 +213,45 @@ mod tests {
         dir.join(name)
     }
 
+    /// Every permutation of `0..n`, in lexicographic order.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for pos in 0..n {
+                let mut q = p.clone();
+                q.insert(pos, n - 1);
+                out.push(q);
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Loads every slice of `src` in chunks of `chunk` and checks each
+    /// against the materialized permutation.
+    fn check_chunks(src: &mut dyn SliceSource, internal: &DenseTensor, chunk: usize, what: &str) {
+        let num = src.num_slices();
+        let mut l0 = 0;
+        while l0 < num {
+            let l1 = (l0 + chunk).min(num);
+            let got = src.load_slices(l0, l1).unwrap();
+            assert_eq!(got.len(), l1 - l0);
+            for (i, m) in got.iter().enumerate() {
+                let want = internal.frontal_slice(l0 + i).unwrap();
+                assert_eq!(*m, want, "{what}: slice {} (chunk {chunk})", l0 + i);
+            }
+            l0 = l1;
+        }
+    }
+
     fn check_all_slices(x: &DenseTensor, perm: &[usize], name: &str) {
         let path = tmpfile(name);
         save(x, &path).unwrap();
         let mut src = DtenSliceSource::open_with_perm(&path, perm).unwrap();
+        let mut mem = InMemorySource::borrowed(x, perm).unwrap();
         let internal = permute(x, perm).unwrap();
         assert_eq!(src.shape(), internal.shape());
         assert_eq!(src.num_slices(), internal.num_frontal_slices());
@@ -283,6 +260,13 @@ mod tests {
             let want = internal.frontal_slice(l).unwrap();
             assert_eq!(got, want, "slice {l} of {name} perm {perm:?}");
         }
+        let num = src.num_slices();
+        for chunk in [1, 2, 3, num] {
+            let what = format!("{name} perm {perm:?}");
+            check_chunks(&mut src, &internal, chunk, &format!("on-disk {what}"));
+            check_chunks(&mut mem, &internal, chunk, &format!("in-memory {what}"));
+        }
+        assert!(src.load_slices(0, num + 1).is_err());
         assert_eq!(
             src.fro_norm_sq().unwrap().to_bits(),
             x.fro_norm_sq().to_bits(),
@@ -294,30 +278,16 @@ mod tests {
     #[test]
     fn every_permutation_matches_in_memory() {
         let mut rng = StdRng::seed_from_u64(1);
-        let x = low_rank_plus_noise(&[7, 5, 4], &[2, 2, 2], 0.2, &mut rng).unwrap();
-        // All 6 permutations of an order-3 tensor exercise every gather
-        // strategy: contiguous, row-contiguous, column-contiguous, span.
-        for perm in [
-            [0usize, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ] {
-            check_all_slices(&x, &perm, "p3.dten");
+        // Every permutation of orders 2–4 exercises every gather strategy
+        // (contiguous, row lines, column lines, grouped spans) with the
+        // whole-slice, single-slice and ragged chunkings.
+        for shape in [vec![6usize, 9], vec![7, 5, 4], vec![5, 4, 3, 2]] {
+            let ranks = vec![2; shape.len()];
+            let x = low_rank_plus_noise(&shape, &ranks, 0.2, &mut rng).unwrap();
+            for perm in permutations(shape.len()) {
+                check_all_slices(&x, &perm, &format!("p{}.dten", shape.len()));
+            }
         }
-    }
-
-    #[test]
-    fn order2_and_order4() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let x2 = low_rank_plus_noise(&[6, 9], &[2, 2], 0.1, &mut rng).unwrap();
-        check_all_slices(&x2, &[0, 1], "p2a.dten");
-        check_all_slices(&x2, &[1, 0], "p2b.dten");
-        let x4 = low_rank_plus_noise(&[5, 4, 3, 2], &[2, 2, 2, 2], 0.1, &mut rng).unwrap();
-        check_all_slices(&x4, &[2, 0, 3, 1], "p4.dten");
-        check_all_slices(&x4, &[3, 1, 0, 2], "p4b.dten");
     }
 
     #[test]

@@ -303,24 +303,7 @@ impl DenseTensor {
                 details: format!("slice {l} out of range (have {ls})"),
             });
         }
-        let block = &self.data[l * i1 * i2..(l + 1) * i1 * i2];
-        // Block layout is column-major (i1 fastest); transpose-copy to row-major.
-        let mut m = Matrix::zeros(i1, i2);
-        const B: usize = 32;
-        let out = m.as_mut_slice();
-        for cb in (0..i2).step_by(B) {
-            let cmax = (cb + B).min(i2);
-            for rb in (0..i1).step_by(B) {
-                let rmax = (rb + B).min(i1);
-                for c in cb..cmax {
-                    let col = &block[c * i1..(c + 1) * i1];
-                    for r in rb..rmax {
-                        out[r * i2 + c] = col[r];
-                    }
-                }
-            }
-        }
-        Ok(m)
+        gather_strided(&self.data, l * i1 * i2, 1, i1, i1, i2)
     }
 
     /// Writes an `I₁ × I₂` row-major matrix into frontal slice `l`.
@@ -424,6 +407,57 @@ impl DenseTensor {
         }
         Ok((self.shape[0], self.shape[1]))
     }
+}
+
+/// Copies the strided `rows × cols` window `data[base + r·s0 + c·s1]` into
+/// a row-major matrix. Errors if the window runs past the end of `data`.
+pub(crate) fn gather_strided(
+    data: &[f64],
+    base: usize,
+    s0: usize,
+    s1: usize,
+    rows: usize,
+    cols: usize,
+) -> Result<Matrix> {
+    let mut m = Matrix::zeros(rows, cols);
+    if rows == 0 || cols == 0 {
+        return Ok(m);
+    }
+    let last = base + (rows - 1) * s0 + (cols - 1) * s1;
+    if last >= data.len() {
+        return Err(TensorError::ShapeMismatch {
+            op: "gather_strided",
+            details: format!(
+                "{rows}x{cols} window at {base} with strides ({s0}, {s1}) exceeds {} elements",
+                data.len()
+            ),
+        });
+    }
+    let out = m.as_mut_slice();
+    if s1 == 1 {
+        // Rows are contiguous in storage: one copy per row.
+        for (r, row) in out.chunks_exact_mut(cols).enumerate() {
+            let start = base + r * s0;
+            row.copy_from_slice(&data[start..start + cols]);
+        }
+        return Ok(m);
+    }
+    // Tiled strided copy, so both the source runs and the destination rows
+    // stay in cache.
+    const B: usize = 32;
+    for cb in (0..cols).step_by(B) {
+        let cmax = (cb + B).min(cols);
+        for rb in (0..rows).step_by(B) {
+            let rmax = (rb + B).min(rows);
+            for c in cb..cmax {
+                let col = base + c * s1;
+                for r in rb..rmax {
+                    out[r * cols + c] = data[col + r * s0];
+                }
+            }
+        }
+    }
+    Ok(m)
 }
 
 impl std::fmt::Debug for DenseTensor {

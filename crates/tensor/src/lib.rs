@@ -6,6 +6,8 @@
 //!   slices (the unit of D-Tucker's compression) are contiguous;
 //! * [`unfold`] — Kolda-convention mode-n matricization, folding, mode
 //!   permutation;
+//! * [`permuted`] — frontal slices of a virtually permuted tensor, gathered
+//!   straight from the unpermuted storage (memory or file);
 //! * [`ttm`] — n-mode products as batched GEMMs over buffer windows;
 //! * [`sparse::SparseTensor`] — COO tensors for the MACH baseline;
 //! * [`random`] — generic random/low-rank tensor generators;
@@ -36,6 +38,8 @@ pub mod dense;
 pub mod error;
 /// The `.dten` file format and atomic writes.
 pub mod io;
+/// Frontal slices of a permuted tensor, gathered from unpermuted storage.
+pub mod permuted;
 /// Seeded random tensors and low-rank-plus-noise models.
 pub mod random;
 /// COO sparse tensors and sparse TTM.

@@ -123,22 +123,7 @@ pub fn fold(m: &Matrix, mode: usize, shape: &[usize]) -> Result<DenseTensor> {
 /// `order[p]`. `order` must be a permutation of `0..N`.
 pub fn permute(x: &DenseTensor, order: &[usize]) -> Result<DenseTensor> {
     let n = x.order();
-    if order.len() != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "permute",
-            details: format!("permutation {:?} for order-{n} tensor", order),
-        });
-    }
-    let mut seen = vec![false; n];
-    for &p in order {
-        if p >= n || seen[p] {
-            return Err(TensorError::ShapeMismatch {
-                op: "permute",
-                details: format!("{:?} is not a permutation of 0..{n}", order),
-            });
-        }
-        seen[p] = true;
-    }
+    check_permutation("permute", order, n)?;
     let in_shape = x.shape().to_vec();
     let out_shape: Vec<usize> = order.iter().map(|&p| in_shape[p]).collect();
 
@@ -170,6 +155,27 @@ pub fn permute(x: &DenseTensor, order: &[usize]) -> Result<DenseTensor> {
         }
     }
     Ok(out)
+}
+
+/// Checks that `order` is a permutation of `0..n`.
+pub(crate) fn check_permutation(op: &'static str, order: &[usize], n: usize) -> Result<()> {
+    if order.len() != n {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            details: format!("permutation {:?} for order-{n} tensor", order),
+        });
+    }
+    let mut seen = vec![false; n];
+    for &p in order {
+        if p >= n || seen[p] {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                details: format!("{:?} is not a permutation of 0..{n}", order),
+            });
+        }
+        seen[p] = true;
+    }
+    Ok(())
 }
 
 /// Returns the permutation that sorts the modes by descending

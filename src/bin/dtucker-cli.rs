@@ -277,11 +277,7 @@ fn cmd_decompose(args: &[String]) -> ExitCode {
                     eprintln!("note: rank clamped to {j} (smallest mode)");
                 }
                 let cfg = DTuckerConfig::uniform(j, n).with_seed(seed);
-                let mut src = match dtucker::InMemorySource::new(x) {
-                    Ok(s) => s,
-                    Err(e) => return fail(&e.to_string()),
-                };
-                match SlicedTensor::compress_source(&mut src, &cfg) {
+                match SlicedTensor::compress(x, &cfg) {
                     Ok(st) => st,
                     Err(e) => return fail(&e.to_string()),
                 }
