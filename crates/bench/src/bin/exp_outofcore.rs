@@ -11,7 +11,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
+use dtucker_bench::{bench_record, secs, time, write_record, Args, Table};
 use dtucker_core::{DTuckerConfig, SliceSource, SlicedTensor};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_store::{encode_sliced, DtenSliceSource};
@@ -134,8 +134,6 @@ fn main() {
     assert!(all_identical, "chunked compression diverged from in-memory");
 }
 
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// `BENCH_threads.json` top-level schema.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
@@ -148,35 +146,31 @@ fn write_json(
     dense_bytes: usize,
     runs: &[Measurement],
 ) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e10_outofcore\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"dense_bytes\": {dense_bytes},\n"));
-    s.push_str(&format!("  \"compressed_bytes\": {compressed_bytes},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"chunk_slices\": {}, \"compress_s\": {:.6}, \"peak_bytes\": {}, \
-             \"identical_to_inmemory\": {}}}{}\n",
-            m.chunk,
-            m.compress.as_secs_f64(),
-            m.peak_bytes,
-            m.identical,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+    let mut w = bench_record("e10_outofcore", dataset, shape);
+    w.key("rank");
+    w.number_u64(rank as u64);
+    w.key("seed");
+    w.number_u64(seed);
+    w.key("hardware_threads");
+    w.number_u64(cores as u64);
+    w.key("dense_bytes");
+    w.number_u64(dense_bytes as u64);
+    w.key("compressed_bytes");
+    w.number_u64(compressed_bytes as u64);
+    w.key("runs");
+    w.begin_array();
+    for m in runs {
+        w.begin_object();
+        w.key("chunk_slices");
+        w.number_u64(m.chunk as u64);
+        w.key("compress_s");
+        w.number_f64(m.compress.as_secs_f64());
+        w.key("peak_bytes");
+        w.number_u64(m.peak_bytes as u64);
+        w.key("identical_to_inmemory");
+        w.boolean(m.identical);
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_outofcore.json");
+    w.end_array();
+    write_record(w, path);
 }

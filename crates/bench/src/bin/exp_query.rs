@@ -13,7 +13,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--queries Q] [--cache-mb MB] [--json PATH]`
 
-use dtucker_bench::{time, Args, Table};
+use dtucker_bench::{bench_record, time, usize_array, write_record, Args, Table};
 use dtucker_core::{DTucker, DTuckerConfig};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_query::{QueryEngine, Range};
@@ -214,8 +214,6 @@ fn main() {
     );
 }
 
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// other `BENCH_*.json` top-level schemas.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
@@ -228,44 +226,43 @@ fn write_json(
     naive_recon: Duration,
     runs: &[Measurement],
 ) {
-    let fmt_list = |v: &[usize]| {
-        v.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e11_query\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!("  \"shape\": [{}],\n", fmt_list(shape)));
-    s.push_str(&format!("  \"ranks\": [{}],\n", fmt_list(ranks)));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"cache_mb\": {cache_mb},\n"));
-    s.push_str(&format!(
-        "  \"naive_reconstruct_s\": {:.6},\n",
-        naive_recon.as_secs_f64()
-    ));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"range\": \"{}\", \"extents\": [{}], \"numel\": {}, \"queries\": {}, \
-             \"cold_avg_s\": {:.9}, \"warm_avg_s\": {:.9}, \"naive_avg_s\": {:.9}, \
-             \"speedup_cold\": {:.3}, \"cache_hit_rate\": {:.4}, \"max_abs_err\": {:.3e}}}{}\n",
-            m.label,
-            fmt_list(&m.extents),
-            m.numel,
-            m.queries,
-            m.cold_avg.as_secs_f64(),
-            m.warm_avg.as_secs_f64(),
-            m.naive_avg.as_secs_f64(),
-            m.naive_avg.as_secs_f64() / m.cold_avg.as_secs_f64().max(1e-12),
-            m.hit_rate,
-            m.max_err,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+    let mut w = bench_record("e11_query", dataset, shape);
+    w.key("ranks");
+    usize_array(&mut w, ranks);
+    w.key("seed");
+    w.number_u64(seed);
+    w.key("hardware_threads");
+    w.number_u64(cores as u64);
+    w.key("cache_mb");
+    w.number_u64(cache_mb as u64);
+    w.key("naive_reconstruct_s");
+    w.number_f64(naive_recon.as_secs_f64());
+    w.key("runs");
+    w.begin_array();
+    for m in runs {
+        w.begin_object();
+        w.key("range");
+        w.string(m.label);
+        w.key("extents");
+        usize_array(&mut w, &m.extents);
+        w.key("numel");
+        w.number_u64(m.numel as u64);
+        w.key("queries");
+        w.number_u64(m.queries as u64);
+        w.key("cold_avg_s");
+        w.number_f64(m.cold_avg.as_secs_f64());
+        w.key("warm_avg_s");
+        w.number_f64(m.warm_avg.as_secs_f64());
+        w.key("naive_avg_s");
+        w.number_f64(m.naive_avg.as_secs_f64());
+        w.key("speedup_cold");
+        w.number_f64(m.naive_avg.as_secs_f64() / m.cold_avg.as_secs_f64().max(1e-12));
+        w.key("cache_hit_rate");
+        w.number_f64(m.hit_rate);
+        w.key("max_abs_err");
+        w.number_f64(m.max_err);
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_query.json");
+    w.end_array();
+    write_record(w, path);
 }

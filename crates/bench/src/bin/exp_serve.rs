@@ -14,7 +14,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--clients N] [--duration-ms MS] [--json PATH]`
 
-use dtucker_bench::{Args, Table};
+use dtucker_bench::{bench_record, usize_array, write_record, Args, Table};
 use dtucker_core::{DTucker, DTuckerConfig, TuckerDecomp};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use dtucker_serve::{ServeConfig, Server};
@@ -288,8 +288,6 @@ fn main() {
     );
 }
 
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// other `BENCH_*.json` top-level schemas.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
@@ -302,40 +300,41 @@ fn write_json(
     window: Duration,
     runs: &[Measurement],
 ) {
-    let fmt_list = |v: &[usize]| {
-        v.iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e12_serve\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!("  \"shape\": [{}],\n", fmt_list(shape)));
-    s.push_str(&format!("  \"ranks\": [{}],\n", fmt_list(ranks)));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str(&format!("  \"clients\": {clients},\n"));
-    s.push_str(&format!("  \"window_s\": {:.3},\n", window.as_secs_f64()));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"max_inflight\": {}, \"clients\": {}, \"requests\": {}, \
-             \"throughput_rps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"shed\": {}, \"shed_rate\": {:.4}}}{}\n",
-            m.threads,
-            m.max_inflight,
-            m.clients,
-            m.requests,
-            m.throughput_rps,
-            m.p50.as_secs_f64() * 1e3,
-            m.p99.as_secs_f64() * 1e3,
-            m.shed,
-            m.shed as f64 / (m.requests + m.shed).max(1) as f64,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+    let mut w = bench_record("e12_serve", dataset, shape);
+    w.key("ranks");
+    usize_array(&mut w, ranks);
+    w.key("seed");
+    w.number_u64(seed);
+    w.key("hardware_threads");
+    w.number_u64(cores as u64);
+    w.key("clients");
+    w.number_u64(clients as u64);
+    w.key("window_s");
+    w.number_f64(window.as_secs_f64());
+    w.key("runs");
+    w.begin_array();
+    for m in runs {
+        w.begin_object();
+        w.key("threads");
+        w.number_u64(m.threads as u64);
+        w.key("max_inflight");
+        w.number_u64(m.max_inflight as u64);
+        w.key("clients");
+        w.number_u64(m.clients as u64);
+        w.key("requests");
+        w.number_u64(m.requests);
+        w.key("throughput_rps");
+        w.number_f64(m.throughput_rps);
+        w.key("p50_ms");
+        w.number_f64(m.p50.as_secs_f64() * 1e3);
+        w.key("p99_ms");
+        w.number_f64(m.p99.as_secs_f64() * 1e3);
+        w.key("shed");
+        w.number_u64(m.shed);
+        w.key("shed_rate");
+        w.number_f64(m.shed as f64 / (m.requests + m.shed).max(1) as f64);
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_serve.json");
+    w.end_array();
+    write_record(w, path);
 }

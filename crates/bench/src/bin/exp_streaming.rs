@@ -9,7 +9,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--steps K]
 //!         [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
+use dtucker_bench::{bench_record, secs, time, write_record, Args, Table};
 use dtucker_core::{DTucker, DTuckerConfig, DTuckerStream};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 
@@ -127,8 +127,6 @@ fn main() {
     println!("near-identical error.");
 }
 
-/// Hand-rolled JSON (the offline crate set has no serde), matching the
-/// `BENCH_threads.json` top-level schema.
 fn write_json(
     path: &str,
     dataset: &str,
@@ -138,37 +136,33 @@ fn write_json(
     runs: &[Measurement],
 ) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e7_streaming\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"append\": {}, \"timesteps\": {}, \"stream_update_s\": {:.6}, \
-             \"stream_err\": {:.6}, \"batch_recompute_s\": {:.6}, \"batch_err\": {:.6}, \
-             \"speedup\": {:.3}}}{}\n",
-            m.append,
-            m.timesteps,
-            m.stream_update_s,
-            m.stream_err,
-            m.batch_recompute_s,
-            m.batch_err,
-            m.batch_recompute_s / m.stream_update_s.max(1e-9),
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+    let mut w = bench_record("e7_streaming", dataset, shape);
+    w.key("rank");
+    w.number_u64(rank as u64);
+    w.key("seed");
+    w.number_u64(seed);
+    w.key("hardware_threads");
+    w.number_u64(cores as u64);
+    w.key("runs");
+    w.begin_array();
+    for m in runs {
+        w.begin_object();
+        w.key("append");
+        w.number_u64(m.append as u64);
+        w.key("timesteps");
+        w.number_u64(m.timesteps as u64);
+        w.key("stream_update_s");
+        w.number_f64(m.stream_update_s);
+        w.key("stream_err");
+        w.number_f64(m.stream_err);
+        w.key("batch_recompute_s");
+        w.number_f64(m.batch_recompute_s);
+        w.key("batch_err");
+        w.number_f64(m.batch_err);
+        w.key("speedup");
+        w.number_f64(m.batch_recompute_s / m.stream_update_s.max(1e-9));
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_streaming.json");
+    w.end_array();
+    write_record(w, path);
 }

@@ -10,7 +10,7 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--max-threads T] [--json PATH]`
 
-use dtucker_bench::{secs, time, Args, Table};
+use dtucker_bench::{bench_record, secs, time, write_record, Args, Table};
 use dtucker_core::init::initialize_threaded;
 use dtucker_core::iterate::iterate;
 use dtucker_core::{DTuckerConfig, SlicedTensor};
@@ -130,7 +130,6 @@ fn total(m: &Measurement) -> Duration {
     m.approx + m.init + m.iter
 }
 
-/// Hand-rolled JSON (the offline crate set has no serde).
 fn write_json(
     path: &str,
     dataset: &str,
@@ -141,37 +140,34 @@ fn write_json(
     runs: &[Measurement],
 ) {
     let total0 = total(&runs[0]).as_secs_f64();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"e9_threads\",\n");
-    s.push_str(&format!("  \"dataset\": \"{dataset}\",\n"));
-    s.push_str(&format!(
-        "  \"shape\": [{}],\n",
-        shape
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"rank\": {rank},\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {cores},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, m) in runs.iter().enumerate() {
+    let mut w = bench_record("e9_threads", dataset, shape);
+    w.key("rank");
+    w.number_u64(rank as u64);
+    w.key("seed");
+    w.number_u64(seed);
+    w.key("hardware_threads");
+    w.number_u64(cores as u64);
+    w.key("runs");
+    w.begin_array();
+    for m in runs {
         let tot = total(m).as_secs_f64();
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"approx_s\": {:.6}, \"init_s\": {:.6}, \"iter_s\": {:.6}, \
-             \"total_s\": {:.6}, \"speedup\": {:.3}, \"identical_to_serial\": {}}}{}\n",
-            m.threads,
-            m.approx.as_secs_f64(),
-            m.init.as_secs_f64(),
-            m.iter.as_secs_f64(),
-            tot,
-            total0 / tot.max(1e-9),
-            m.identical,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+        w.begin_object();
+        w.key("threads");
+        w.number_u64(m.threads as u64);
+        w.key("approx_s");
+        w.number_f64(m.approx.as_secs_f64());
+        w.key("init_s");
+        w.number_f64(m.init.as_secs_f64());
+        w.key("iter_s");
+        w.number_f64(m.iter.as_secs_f64());
+        w.key("total_s");
+        w.number_f64(tot);
+        w.key("speedup");
+        w.number_f64(total0 / tot.max(1e-9));
+        w.key("identical_to_serial");
+        w.boolean(m.identical);
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    dtucker_core::fsutil::atomic_write_str(path, &s).expect("writing BENCH_threads.json");
+    w.end_array();
+    write_record(w, path);
 }

@@ -15,6 +15,7 @@ use dtucker_baselines::{
 use dtucker_core::error::Result;
 use dtucker_core::tucker::TuckerDecomp;
 use dtucker_core::{DTucker, DTuckerConfig, SliceSvdKind};
+use dtucker_serve::JsonWriter;
 use dtucker_tensor::dense::DenseTensor;
 use std::time::{Duration, Instant};
 
@@ -301,6 +302,41 @@ impl Table {
             }
         }
     }
+}
+
+/// Opens a `BENCH_*.json` record with the fields every experiment shares
+/// (`experiment`, `dataset`, `shape`). The caller adds its own fields and
+/// hands the writer to [`write_record`].
+pub fn bench_record(experiment: &str, dataset: &str, shape: &[usize]) -> JsonWriter {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("experiment");
+    w.string(experiment);
+    w.key("dataset");
+    w.string(dataset);
+    w.key("shape");
+    usize_array(&mut w, shape);
+    w
+}
+
+/// Writes `v` as a JSON array of integers.
+pub fn usize_array(w: &mut JsonWriter, v: &[usize]) {
+    w.begin_array();
+    for &d in v {
+        w.number_u64(d as u64);
+    }
+    w.end_array();
+}
+
+/// Closes a record opened by [`bench_record`] and writes it atomically to
+/// `path`. Panics if the file cannot be written: the record is the point
+/// of the run.
+pub fn write_record(mut w: JsonWriter, path: &str) {
+    w.end_object();
+    let mut s = w.finish();
+    s.push('\n');
+    dtucker_core::fsutil::atomic_write_str(path, &s)
+        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
 }
 
 /// Formats a duration in seconds with 3 decimals.

@@ -15,8 +15,7 @@
 //!   truncated factors;
 //! * [`eig`] — symmetric eigendecomposition (`tred2` + `tql2`);
 //! * [`rsvd`] — randomized SVD (the D-Tucker approximation-phase kernel);
-//! * [`lu`], [`cholesky`] — linear solves;
-//! * [`kron`] — Kronecker / Khatri–Rao products;
+//! * [`cholesky`] — SPD linear solves;
 //! * [`random`] — Gaussian test matrices (Marsaglia polar method);
 //! * [`norms`] — overflow-safe norms and slice helpers.
 //!
@@ -47,10 +46,6 @@ pub mod eig;
 pub mod error;
 /// Cache-blocked, packed, multi-threaded GEMM.
 pub mod gemm;
-/// Kronecker products and structured multiplies.
-pub mod kron;
-/// Partially pivoted LU factorization and solves.
-pub mod lu;
 /// The dense row-major `Matrix` type.
 pub mod matrix;
 /// Frobenius/spectral norms and stable accumulators.
@@ -61,8 +56,6 @@ pub mod ops;
 pub mod pool;
 /// Householder QR factorization.
 pub mod qr;
-/// Column-pivoted QR (rank-revealing).
-pub mod qrcp;
 /// Seeded Gaussian test/sketch matrices.
 pub mod random;
 /// Randomized SVD (range finder + small SVD).
@@ -71,8 +64,6 @@ pub mod rsvd;
 pub mod sparse;
 /// One-sided Jacobi SVD and truncated variants.
 pub mod svd;
-/// Golub–Reinsch bidiagonal SVD.
-pub mod svd_gr;
 
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;

@@ -72,32 +72,11 @@ pub fn scale_cols(a: &Matrix, s: &[f64]) -> Matrix {
 /// Maximum one-sided Jacobi sweeps.
 const MAX_JACOBI_SWEEPS: usize = 60;
 
-/// Which dense SVD algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SvdAlgorithm {
-    /// One-sided Jacobi (after QR reduction): slowest, most accurate.
-    Jacobi,
-    /// Golub–Reinsch bidiagonalization + implicit QR: the classic fast
-    /// dense route.
-    GolubReinsch,
-    /// Jacobi below [`AUTO_GR_THRESHOLD`] columns, Golub–Reinsch above.
-    Auto,
-}
-
-/// `Auto` switches from Jacobi to Golub–Reinsch once the reduced problem
-/// has this many columns (Jacobi's extra sweeps stop paying for themselves).
-pub const AUTO_GR_THRESHOLD: usize = 48;
-
-/// Accurate thin SVD with the default (`Auto`) algorithm choice.
+/// Accurate thin SVD: QR reduction followed by one-sided Jacobi.
 ///
 /// Wide matrices are transposed; tall matrices are reduced with a thin QR
 /// so the iteration always runs on an (almost) square factor.
 pub fn svd(a: &Matrix) -> Result<Svd> {
-    svd_with(a, SvdAlgorithm::Auto)
-}
-
-/// Thin SVD with an explicit algorithm choice.
-pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Ok(Svd {
@@ -107,20 +86,12 @@ pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
         });
     }
     if m < n {
-        let t = svd_with(&a.transpose(), alg)?;
+        let t = svd(&a.transpose())?;
         return Ok(Svd {
             u: t.v,
             s: t.s,
             v: t.u,
         });
-    }
-    let use_gr = match alg {
-        SvdAlgorithm::Jacobi => false,
-        SvdAlgorithm::GolubReinsch => true,
-        SvdAlgorithm::Auto => n >= AUTO_GR_THRESHOLD,
-    };
-    if use_gr {
-        return crate::svd_gr::svd_golub_reinsch(a);
     }
     if m > n {
         // A = Q R, svd(R) = Ur S Vᵀ  ⇒  A = (Q Ur) S Vᵀ.
@@ -491,6 +462,10 @@ mod tests {
         check_svd(&random(1, 1, 5), 1e-12);
         check_svd(&random(1, 7, 6), 1e-10);
         check_svd(&random(7, 1, 7), 1e-10);
+        check_svd(&random(60, 60, 10), 1e-8);
+        check_svd(&random(120, 64, 11), 1e-8);
+        check_svd(&random(64, 120, 12), 1e-8);
+        check_svd(&matmul(&random(80, 20, 13), &random(20, 56, 14)), 1e-8);
     }
 
     #[test]
@@ -504,6 +479,17 @@ mod tests {
         assert_eq!(d.rank(1e-8), 2);
         assert!(d.reconstruct().approx_eq(&a, 1e-9));
         assert!(d.u.has_orthonormal_cols(1e-8));
+    }
+
+    #[test]
+    fn svd_rejects_non_finite() {
+        let mut a = Matrix::zeros(3, 3);
+        a.set(1, 1, f64::NAN);
+        assert!(svd(&a).is_err());
+        let mut b = random(70, 50, 15);
+        b.set(69, 49, f64::INFINITY);
+        assert!(svd(&b).is_err());
+        assert!(svd(&b.transpose()).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use dtucker_linalg::gemm::matmul;
 use dtucker_linalg::norms::{fro_norm, FroNormAccumulator};
 use dtucker_linalg::qr::{orthonormalize, qr_thin};
 use dtucker_linalg::random::gaussian_matrix;
-use dtucker_linalg::svd::{svd_with, SvdAlgorithm};
+use dtucker_linalg::svd::svd;
 use dtucker_linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -206,7 +206,7 @@ mod oracle {
         }
     }
 
-    /// `svd_with(a, SvdAlgorithm::Jacobi)` built from the oracle kernels.
+    /// `svd(a)` built from the oracle kernels.
     pub fn svd_jacobi(a: &Matrix) -> Option<Svd> {
         let (m, n) = a.shape();
         if m < n {
@@ -249,7 +249,7 @@ fn check(a: &Matrix) {
         return;
     }
     let want = oracle::svd_jacobi(a).expect("oracle Jacobi converges");
-    let got = svd_with(a, SvdAlgorithm::Jacobi).expect("Jacobi converges");
+    let got = svd(a).expect("Jacobi converges");
     assert!(same_bits(&got.u, &want.u), "U differs for {:?}", a.shape());
     assert!(same_bits(&got.v, &want.v), "V differs for {:?}", a.shape());
     let (gs, ws): (Vec<u64>, Vec<u64>) = (

@@ -44,8 +44,6 @@ pub mod permuted;
 pub mod random;
 /// COO sparse tensors and sparse TTM.
 pub mod sparse;
-/// Summary statistics over tensor entries.
-pub mod stats;
 /// Tensor-times-matrix products and chains.
 pub mod ttm;
 /// Mode-n unfoldings and permutations.
