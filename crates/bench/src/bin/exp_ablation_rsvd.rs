@@ -53,7 +53,7 @@ fn main() {
             label.into(),
             oversample.to_string(),
             power.to_string(),
-            secs(out.timings.approximation),
+            secs(out.timings.get("approximation").unwrap_or_default()),
             secs(total),
             format!("{err:.5}"),
         ]);

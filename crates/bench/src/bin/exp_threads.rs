@@ -10,19 +10,21 @@
 //!         [--scale ci|bench|paper] [--rank J] [--seed S] [--dataset NAME]
 //!         [--max-threads T] [--json PATH]`
 
-use dtucker_bench::{bench_record, secs, time, write_record, Args, Table};
-use dtucker_core::init::initialize_threaded;
-use dtucker_core::iterate::iterate;
-use dtucker_core::{DTuckerConfig, SlicedTensor};
+use dtucker_bench::{bench_record, secs, write_record, Args, Table};
+use dtucker_core::{DTucker, DTuckerConfig, PhaseProfile, SlicedTensor};
 use dtucker_data::{generate, parse_scale, Dataset, Scale};
 use std::time::Duration;
 
 struct Measurement {
     threads: usize,
-    approx: Duration,
-    init: Duration,
-    iter: Duration,
+    timings: PhaseProfile,
     identical: bool,
+}
+
+impl Measurement {
+    fn phase(&self, name: &str) -> Duration {
+        self.timings.get(name).unwrap_or_default()
+    }
 }
 
 fn main() {
@@ -76,14 +78,10 @@ fn main() {
         let cfg = DTuckerConfig::uniform(rank, x.order())
             .with_seed(seed)
             .with_threads(t);
-        let (st, approx) = time(|| SlicedTensor::compress(&x, &cfg).expect("compression"));
-        let ranks_int: Vec<usize> = st.perm().iter().map(|&p| cfg.ranks[p]).collect();
-        let (init, init_t) =
-            time(|| initialize_threaded(&st, &ranks_int, t).expect("initialization"));
-        let (out, iter_t) = time(|| iterate(&st, &ranks_int, init.factors, &cfg).expect("sweeps"));
-
-        let mut bits: Vec<u64> = out.core.as_slice().iter().map(|v| v.to_bits()).collect();
-        for f in &out.factors {
+        let out = DTucker::new(cfg).decompose(&x).expect("decomposition");
+        let d = &out.decomposition;
+        let mut bits: Vec<u64> = d.core.as_slice().iter().map(|v| v.to_bits()).collect();
+        for f in &d.factors {
             bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
         }
         let identical = match &serial_bits {
@@ -95,25 +93,23 @@ fn main() {
         };
         runs.push(Measurement {
             threads: t,
-            approx,
-            init: init_t,
-            iter: iter_t,
+            timings: out.timings,
             identical,
         });
         t *= 2;
     }
 
-    let total0 = total(&runs[0]);
+    let total0 = runs[0].timings.total();
     for m in &runs {
         table.row(&[
             m.threads.to_string(),
-            secs(m.approx),
-            secs(m.init),
-            secs(m.iter),
-            secs(total(m)),
+            secs(m.phase("approximation")),
+            secs(m.phase("initialization")),
+            secs(m.phase("iteration")),
+            secs(m.timings.total()),
             format!(
                 "{:.2}x",
-                total0.as_secs_f64() / total(m).as_secs_f64().max(1e-9)
+                total0.as_secs_f64() / m.timings.total().as_secs_f64().max(1e-9)
             ),
             m.identical.to_string(),
         ]);
@@ -126,10 +122,6 @@ fn main() {
     println!("with a bit-identical decomposition at every thread count.");
 }
 
-fn total(m: &Measurement) -> Duration {
-    m.approx + m.init + m.iter
-}
-
 fn write_json(
     path: &str,
     dataset: &str,
@@ -139,7 +131,7 @@ fn write_json(
     cores: usize,
     runs: &[Measurement],
 ) {
-    let total0 = total(&runs[0]).as_secs_f64();
+    let total0 = runs[0].timings.total().as_secs_f64();
     let mut w = bench_record("e9_threads", dataset, shape);
     w.key("rank");
     w.number_u64(rank as u64);
@@ -150,16 +142,16 @@ fn write_json(
     w.key("runs");
     w.begin_array();
     for m in runs {
-        let tot = total(m).as_secs_f64();
+        let tot = m.timings.total().as_secs_f64();
         w.begin_object();
         w.key("threads");
         w.number_u64(m.threads as u64);
         w.key("approx_s");
-        w.number_f64(m.approx.as_secs_f64());
+        w.number_f64(m.phase("approximation").as_secs_f64());
         w.key("init_s");
-        w.number_f64(m.init.as_secs_f64());
+        w.number_f64(m.phase("initialization").as_secs_f64());
         w.key("iter_s");
-        w.number_f64(m.iter.as_secs_f64());
+        w.number_f64(m.phase("iteration").as_secs_f64());
         w.key("total_s");
         w.number_f64(tot);
         w.key("speedup");

@@ -3,7 +3,8 @@
 use crate::config::DTuckerConfig;
 use crate::error::{CoreError, Result};
 use crate::init::initialize_threaded;
-use crate::iterate::{iterate, iterate_from, SweepHook, SweepState};
+use crate::iterate::{iterate_from, SweepHook, SweepState};
+use crate::profile::PhaseProfile;
 use crate::slices::SlicedTensor;
 use crate::trace::ConvergenceTrace;
 use crate::tucker::TuckerDecomp;
@@ -15,36 +16,6 @@ use dtucker_tensor::unfold::{inverse_permutation, permute};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-
-/// Wall-clock time spent in each phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    /// Approximation phase (slice compression). Zero when a pre-compressed
-    /// tensor was supplied.
-    pub approximation: Duration,
-    /// Initialization phase.
-    pub initialization: Duration,
-    /// Iteration phase (all ALS sweeps).
-    pub iteration: Duration,
-}
-
-impl PhaseTimings {
-    /// Total wall-clock time.
-    pub fn total(&self) -> Duration {
-        self.approximation + self.initialization + self.iteration
-    }
-
-    /// The timings as a generic [`crate::profile::PhaseProfile`], so the
-    /// pipeline's phase split renders through the same reporting path as
-    /// every other subsystem.
-    pub fn as_profile(&self) -> crate::profile::PhaseProfile {
-        let mut p = crate::profile::PhaseProfile::new();
-        p.record("approximation", self.approximation);
-        p.record("initialization", self.initialization);
-        p.record("iteration", self.iteration);
-        p
-    }
-}
 
 /// How the iteration phase is seeded (ablation hook for the convergence
 /// experiment).
@@ -63,11 +34,32 @@ pub struct DTuckerOutput {
     pub decomposition: TuckerDecomp,
     /// Convergence record of the iteration phase.
     pub trace: ConvergenceTrace,
-    /// Per-phase wall-clock timings.
-    pub timings: PhaseTimings,
+    /// Wall-clock time of the phases `approximation` (absent when a
+    /// pre-compressed tensor was supplied), `initialization` and
+    /// `iteration`.
+    pub timings: PhaseProfile,
     /// The compressed representation (reusable for further runs at other
     /// ranks ≤ slice rank, and for memory accounting).
     pub sliced: SlicedTensor,
+}
+
+/// Where the iteration phase starts: a fresh initialization, or a
+/// [`SweepState`] restored from a checkpoint.
+enum Start {
+    Init(InitStrategy),
+    Resume(SweepState),
+}
+
+/// A [`DTuckerOutput`] before the compressed tensor is attached.
+type Run = (TuckerDecomp, ConvergenceTrace, PhaseProfile);
+
+fn attach((decomposition, trace, timings): Run, sliced: SlicedTensor) -> DTuckerOutput {
+    DTuckerOutput {
+        decomposition,
+        trace,
+        timings,
+        sliced,
+    }
 }
 
 /// The D-Tucker solver.
@@ -111,16 +103,11 @@ impl DTucker {
     ) -> Result<DTuckerOutput> {
         self.cfg.validate(x.shape())?;
         if !x.is_finite() {
-            return Err(crate::error::CoreError::InvalidConfig {
+            return Err(CoreError::InvalidConfig {
                 details: "input tensor contains non-finite entries".into(),
             });
         }
-        let t0 = Instant::now();
-        let sliced = SlicedTensor::compress(x, &self.cfg)?;
-        let approximation = t0.elapsed();
-        let mut out = self.decompose_sliced_with_init(&sliced, strategy)?;
-        out.timings.approximation = approximation;
-        Ok(out)
+        self.compress_then_run(|| SlicedTensor::compress(x, &self.cfg), strategy)
     }
 
     /// Runs all three phases on a **sparse** tensor (the lineage's
@@ -129,61 +116,17 @@ impl DTucker {
     /// identical to the dense path.
     pub fn decompose_sparse(&self, x: &dtucker_tensor::SparseTensor) -> Result<DTuckerOutput> {
         self.cfg.validate(x.shape())?;
-        let t0 = Instant::now();
-        let sliced = crate::slices::SlicedTensor::compress_sparse(x, &self.cfg)?;
-        let approximation = t0.elapsed();
-        let mut out = self.decompose_sliced_with_init(&sliced, InitStrategy::DTucker)?;
-        out.timings.approximation = approximation;
-        Ok(out)
+        self.compress_then_run(
+            || SlicedTensor::compress_sparse(x, &self.cfg),
+            InitStrategy::DTucker,
+        )
     }
 
-    /// Runs the initialization and iteration phases on a pre-compressed
-    /// tensor (the approximation phase is reported as zero time).
+    /// Runs initialization and iteration on a pre-compressed tensor (no
+    /// `approximation` phase is recorded). The output holds a clone of
+    /// `sliced`.
     pub fn decompose_sliced(&self, sliced: &SlicedTensor) -> Result<DTuckerOutput> {
-        self.decompose_sliced_with_init(sliced, InitStrategy::DTucker)
-    }
-
-    /// [`Self::decompose_sliced`] with an explicit initialization strategy.
-    pub fn decompose_sliced_with_init(
-        &self,
-        sliced: &SlicedTensor,
-        strategy: InitStrategy,
-    ) -> Result<DTuckerOutput> {
-        let perm = sliced.perm().to_vec();
-        let ranks_int: Vec<usize> = perm.iter().map(|&p| self.cfg.ranks[p]).collect();
-
-        let t1 = Instant::now();
-        let init_factors = match strategy {
-            InitStrategy::DTucker => {
-                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors
-            }
-            InitStrategy::Random => {
-                let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD7CE);
-                sliced
-                    .shape()
-                    .iter()
-                    .zip(ranks_int.iter())
-                    .map(|(&i, &j)| orthonormalize(&gaussian_matrix(i, j, &mut rng)))
-                    .collect()
-            }
-        };
-        let initialization = t1.elapsed();
-
-        let t2 = Instant::now();
-        let iter_out = iterate(sliced, &ranks_int, init_factors, &self.cfg)?;
-        let iteration = t2.elapsed();
-
-        let decomposition = internal_to_original(&perm, iter_out.factors, iter_out.core)?;
-        Ok(DTuckerOutput {
-            decomposition,
-            trace: iter_out.trace,
-            timings: PhaseTimings {
-                approximation: Duration::ZERO,
-                initialization,
-                iteration,
-            },
-            sliced: sliced.clone(),
-        })
+        self.decompose_sliced_resumable(sliced, None, &mut |_| Ok(()))
     }
 
     /// Checkpointable variant of [`Self::decompose_sliced`]: the iteration
@@ -198,60 +141,93 @@ impl DTucker {
         resume: Option<SweepState>,
         on_sweep: &mut SweepHook<'_>,
     ) -> Result<DTuckerOutput> {
-        let perm = sliced.perm().to_vec();
-        let ranks_int: Vec<usize> = perm.iter().map(|&p| self.cfg.ranks[p]).collect();
+        let start = match resume {
+            Some(state) => Start::Resume(state),
+            None => Start::Init(InitStrategy::DTucker),
+        };
+        let run = self.run(sliced, start, None, on_sweep)?;
+        Ok(attach(run, sliced.clone()))
+    }
 
-        let t1 = Instant::now();
-        let state = match resume {
-            Some(state) => {
-                if state.factors.len() != perm.len() {
-                    return Err(crate::error::CoreError::InvalidConfig {
-                        details: format!(
-                            "resume state has {} factors for an order-{} tensor",
-                            state.factors.len(),
-                            perm.len()
-                        ),
-                    });
-                }
-                for (m, (f, (&i, &j))) in state
-                    .factors
-                    .iter()
-                    .zip(sliced.shape().iter().zip(ranks_int.iter()))
-                    .enumerate()
-                {
-                    if f.shape() != (i, j) {
-                        return Err(crate::error::CoreError::InvalidConfig {
-                            details: format!(
-                                "resume factor {m} is {:?}, expected ({i}, {j})",
-                                f.shape()
-                            ),
-                        });
-                    }
-                }
+    /// Times the approximation phase `compress`, runs the other two phases
+    /// on its result, and moves the compressed tensor into the output.
+    fn compress_then_run(
+        &self,
+        compress: impl FnOnce() -> Result<SlicedTensor>,
+        strategy: InitStrategy,
+    ) -> Result<DTuckerOutput> {
+        let t = Instant::now();
+        let sliced = compress()?;
+        let approximation = Some(t.elapsed());
+        let start = Start::Init(strategy);
+        let run = self.run(&sliced, start, approximation, &mut |_| Ok(()))?;
+        Ok(attach(run, sliced))
+    }
+
+    /// The one initialization → iteration → reorder body behind every
+    /// entry point. Returns the decomposition in the original mode order
+    /// and a profile of `approximation` (when given), `initialization` and
+    /// `iteration`, built after the sweeps so it adds nothing to the peak
+    /// heap.
+    fn run(
+        &self,
+        sliced: &SlicedTensor,
+        start: Start,
+        approximation: Option<Duration>,
+        on_sweep: &mut SweepHook<'_>,
+    ) -> Result<Run> {
+        let perm = sliced.perm();
+        let ranks = internal_ranks(&self.cfg, perm);
+
+        let t = Instant::now();
+        let state = match start {
+            Start::Init(InitStrategy::DTucker) => {
+                SweepState::fresh(initialize_threaded(sliced, &ranks, self.cfg.threads)?.factors)
+            }
+            Start::Init(InitStrategy::Random) => {
+                let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD7CE);
+                SweepState::fresh(
+                    sliced
+                        .shape()
+                        .iter()
+                        .zip(ranks.iter())
+                        .map(|(&i, &j)| orthonormalize(&gaussian_matrix(i, j, &mut rng)))
+                        .collect(),
+                )
+            }
+            Start::Resume(state) => {
+                check_resume_shapes(&state, sliced.shape(), &ranks)?;
                 state
             }
-            None => SweepState::fresh(
-                initialize_threaded(sliced, &ranks_int, self.cfg.threads)?.factors,
-            ),
         };
-        let initialization = t1.elapsed();
+        let initialization = t.elapsed();
 
-        let t2 = Instant::now();
-        let iter_out = iterate_from(sliced, &ranks_int, state, &self.cfg, on_sweep)?;
-        let iteration = t2.elapsed();
+        let t = Instant::now();
+        let it = iterate_from(sliced, &ranks, state, &self.cfg, on_sweep)?;
+        let iteration = t.elapsed();
 
-        let decomposition = internal_to_original(&perm, iter_out.factors, iter_out.core)?;
-        Ok(DTuckerOutput {
-            decomposition,
-            trace: iter_out.trace,
-            timings: PhaseTimings {
-                approximation: Duration::ZERO,
-                initialization,
-                iteration,
-            },
-            sliced: sliced.clone(),
-        })
+        let decomposition = to_original_order(perm, it.factors, &it.core)?;
+        let mut timings = PhaseProfile::new();
+        if let Some(d) = approximation {
+            timings.record("approximation", d);
+        }
+        timings.record("initialization", initialization);
+        timings.record("iteration", iteration);
+        Ok((decomposition, it.trace, timings))
     }
+}
+
+/// Rejects a resume state whose factors do not fit the compressed tensor
+/// (`shape` and `ranks` in internal order).
+fn check_resume_shapes(state: &SweepState, shape: &[usize], ranks: &[usize]) -> Result<()> {
+    let want: Vec<(usize, usize)> = shape.iter().copied().zip(ranks.iter().copied()).collect();
+    let got: Vec<(usize, usize)> = state.factors.iter().map(Matrix::shape).collect();
+    if got != want {
+        return Err(CoreError::InvalidConfig {
+            details: format!("resume factors are {got:?}, expected {want:?}"),
+        });
+    }
+    Ok(())
 }
 
 /// Automatic rank selection: finds the smallest uniform rank `J ≤ max_rank`
@@ -269,7 +245,7 @@ pub fn decompose_to_target_error(
     base_cfg: &DTuckerConfig,
 ) -> Result<(DTuckerOutput, usize)> {
     if max_rank == 0 {
-        return Err(crate::error::CoreError::InvalidConfig {
+        return Err(CoreError::InvalidConfig {
             details: "max_rank must be ≥ 1".into(),
         });
     }
@@ -288,43 +264,36 @@ pub fn decompose_to_target_error(
     let norm_x_sq = x.fro_norm_sq();
 
     // Doubling search: 1, 2, 4, … then max_rank.
-    let mut candidates: Vec<usize> = Vec::new();
     let mut j = 1usize;
-    while j < max_rank {
-        candidates.push(j);
+    loop {
+        let rank = j.min(max_rank);
+        let mut cj = cfg.clone();
+        cj.ranks = clamp(rank);
+        let start = Start::Init(InitStrategy::DTucker);
+        let run = DTucker::new(cj).run(&sliced, start, None, &mut |_| Ok(()))?;
+        if rank == max_rank || run.0.projection_error_sq(norm_x_sq) <= target_error_sq {
+            return Ok((attach(run, sliced), rank));
+        }
         j *= 2;
     }
-    candidates.push(max_rank);
+}
 
-    let mut best: Option<(DTuckerOutput, usize)> = None;
-    for &j in &candidates {
-        let mut cj = cfg.clone();
-        cj.ranks = clamp(j);
-        let out = DTucker::new(cj).decompose_sliced(&sliced)?;
-        let err = out.decomposition.projection_error_sq(norm_x_sq);
-        let done = err <= target_error_sq;
-        best = Some((out, j));
-        if done {
-            break;
-        }
-    }
-    best.ok_or_else(|| CoreError::Internal {
-        details: "rank search produced no candidates".into(),
-    })
+/// Target ranks in the compressed tensor's internal mode order.
+pub(crate) fn internal_ranks(cfg: &DTuckerConfig, perm: &[usize]) -> Vec<usize> {
+    perm.iter().map(|&p| cfg.ranks[p]).collect()
 }
 
 /// Maps internal-order factors and core back to the original mode order.
-fn internal_to_original(
+pub(crate) fn to_original_order(
     perm: &[usize],
     factors_int: Vec<Matrix>,
-    core_int: DenseTensor,
+    core_int: &DenseTensor,
 ) -> Result<TuckerDecomp> {
-    let inv = inverse_permutation(perm);
     let mut factors: Vec<Matrix> = vec![Matrix::zeros(0, 0); perm.len()];
     for (p, f) in factors_int.into_iter().enumerate() {
         factors[perm[p]] = f;
     }
-    let core = permute(&core_int, &inv)?;
+    let core = permute(core_int, &inverse_permutation(perm))?;
     Ok(TuckerDecomp { core, factors })
 }
 
@@ -397,8 +366,8 @@ mod tests {
         let cfg = DTuckerConfig::uniform(3, 3).with_seed(8);
         let sliced = crate::slices::SlicedTensor::compress(&x, &cfg).unwrap();
         let out = DTucker::new(cfg).decompose_sliced(&sliced).unwrap();
-        assert_eq!(out.timings.approximation, Duration::ZERO);
-        assert!(out.timings.initialization > Duration::ZERO);
+        assert_eq!(out.timings.get("approximation"), None);
+        assert!(out.timings.get("initialization") > Some(Duration::ZERO));
         assert!(out.decomposition.relative_error_sq(&x).unwrap() < 0.05);
     }
 
@@ -584,6 +553,61 @@ mod tests {
             .is_err());
     }
 
+    /// Every bit of a decomposition and its trace, for exact comparison.
+    fn output_bits(out: &DTuckerOutput) -> (Vec<u64>, Vec<u64>, bool) {
+        let d = &out.decomposition;
+        let mut bits: Vec<u64> = d.core.as_slice().iter().map(|v| v.to_bits()).collect();
+        for f in &d.factors {
+            bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
+        }
+        let fits = out.trace.sweep_fits.iter().map(|v| v.to_bits()).collect();
+        (bits, fits, out.trace.converged)
+    }
+
+    #[test]
+    fn entry_points_agree_bit_for_bit() {
+        // Shapes whose largest modes do not lead, so the internal mode
+        // permutation and the reorder back are exercised.
+        for (shape, ranks) in [
+            (&[8, 22, 18][..], &[2, 3, 3][..]),
+            (&[6, 12, 5, 10][..], &[2, 3, 2, 2][..]),
+        ] {
+            let x = noisy(shape, ranks, 0.05, 50);
+            for threads in [1, 2] {
+                let cfg = DTuckerConfig::new(ranks)
+                    .with_seed(51)
+                    .with_threads(threads);
+                let solver = DTucker::new(cfg.clone());
+                let full = solver.decompose(&x).unwrap();
+                let sliced = SlicedTensor::compress(&x, &cfg).unwrap();
+                let pre = solver.decompose_sliced(&sliced).unwrap();
+                let resumable = solver
+                    .decompose_sliced_resumable(&sliced, None, &mut |_| Ok(()))
+                    .unwrap();
+                let want = output_bits(&full);
+                assert!(!want.1.is_empty());
+                assert_eq!(output_bits(&pre), want, "{shape:?} at {threads} threads");
+                assert_eq!(
+                    output_bits(&resumable),
+                    want,
+                    "{shape:?} at {threads} threads"
+                );
+
+                let phases = |out: &DTuckerOutput| -> Vec<String> {
+                    out.timings
+                        .phases()
+                        .map(|(n, _, _)| n.to_string())
+                        .collect()
+                };
+                assert_eq!(
+                    phases(&full),
+                    ["approximation", "initialization", "iteration"]
+                );
+                assert_eq!(phases(&pre), ["initialization", "iteration"]);
+            }
+        }
+    }
+
     #[test]
     fn timings_populated() {
         let x = noisy(&[15, 12, 8], &[2, 2, 2], 0.0, 12);
@@ -591,7 +615,7 @@ mod tests {
             .decompose(&x)
             .unwrap();
         assert!(out.timings.total() > Duration::ZERO);
-        assert!(out.timings.approximation > Duration::ZERO);
+        assert!(out.timings.get("approximation") > Some(Duration::ZERO));
         assert!(out.trace.iterations() >= 1);
         assert!(out.sliced.num_slices() > 0);
     }

@@ -33,17 +33,12 @@ pub struct Initialization {
     pub core: DenseTensor,
 }
 
-/// Runs the initialization phase on a compressed tensor with one worker
-/// (see [`initialize_threaded`]).
+/// Runs the initialization phase on a compressed tensor, with the
+/// per-slice work fanned out over `threads` pool workers (`0` resolves
+/// through the pool policy). Slices are processed independently, so the
+/// result is identical for every thread count.
 ///
 /// `ranks` are the target ranks in the **internal** (permuted) mode order.
-pub fn initialize(st: &SlicedTensor, ranks: &[usize]) -> Result<Initialization> {
-    initialize_threaded(st, ranks, 1)
-}
-
-/// [`initialize`] with the per-slice work fanned out over `threads` pool
-/// workers (`0` resolves through the pool policy). Slices are processed
-/// independently, so the result is identical for every thread count.
 pub fn initialize_threaded(
     st: &SlicedTensor,
     ranks: &[usize],
@@ -119,13 +114,7 @@ fn leading_lsv_adaptive(a: &Matrix, k: usize) -> Result<Matrix> {
 
 /// Builds the projected tensor `Y` of shape `(J₁, J₂, I₃, …, I_N)` whose
 /// frontal slices are `A⁽¹⁾ᵀ X_l A⁽²⁾`, evaluated through the slice SVDs in
-/// `O(L · (I₁+I₂) k J)` time. Single-worker form of
-/// [`projected_tensor_threaded`].
-pub fn projected_tensor(st: &SlicedTensor, a1: &Matrix, a2: &Matrix) -> Result<DenseTensor> {
-    projected_tensor_threaded(st, a1, a2, 1)
-}
-
-/// [`projected_tensor`] with the per-slice products fanned out over
+/// `O(L · (I₁+I₂) k J)` time, with the per-slice products fanned out over
 /// `threads` pool workers. Bit-identical for every thread count.
 pub fn projected_tensor_threaded(
     st: &SlicedTensor,
@@ -170,7 +159,7 @@ mod tests {
     #[test]
     fn init_shapes() {
         let (_, st) = compressed(&[20, 16, 8], &[3, 2, 4], 0.05, 1);
-        let init = initialize(&st, &[3, 2, 4]).unwrap();
+        let init = initialize_threaded(&st, &[3, 2, 4], 1).unwrap();
         assert_eq!(init.factors.len(), 3);
         assert_eq!(init.factors[0].shape(), (20, 3));
         assert_eq!(init.factors[1].shape(), (16, 2));
@@ -181,7 +170,7 @@ mod tests {
     #[test]
     fn init_factors_orthonormal() {
         let (_, st) = compressed(&[18, 14, 6], &[3, 3, 3], 0.1, 2);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         for f in &init.factors {
             assert!(f.has_orthonormal_cols(1e-8));
         }
@@ -192,7 +181,7 @@ mod tests {
         // For a noiseless low-rank tensor the initialization alone should
         // already be (nearly) exact.
         let (x, st) = compressed(&[20, 15, 10], &[3, 3, 3], 0.0, 3);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         let d = TuckerDecomp {
             core: init.core,
             factors: init.factors,
@@ -205,7 +194,7 @@ mod tests {
     fn init_on_noisy_tensor_is_reasonable() {
         let noise = 0.1;
         let (x, st) = compressed(&[30, 25, 12], &[3, 3, 3], noise, 4);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         let d = TuckerDecomp {
             core: init.core,
             factors: init.factors,
@@ -218,7 +207,7 @@ mod tests {
     #[test]
     fn init_order4() {
         let (x, st) = compressed(&[12, 10, 5, 4], &[2, 2, 2, 2], 0.0, 5);
-        let init = initialize(&st, &[2, 2, 2, 2]).unwrap();
+        let init = initialize_threaded(&st, &[2, 2, 2, 2], 1).unwrap();
         assert_eq!(init.core.shape(), &[2, 2, 2, 2]);
         let d = TuckerDecomp {
             core: init.core,
@@ -230,8 +219,8 @@ mod tests {
     #[test]
     fn projected_tensor_shape() {
         let (_, st) = compressed(&[20, 16, 8], &[3, 2, 4], 0.0, 6);
-        let init = initialize(&st, &[3, 2, 4]).unwrap();
-        let y = projected_tensor(&st, &init.factors[0], &init.factors[1]).unwrap();
+        let init = initialize_threaded(&st, &[3, 2, 4], 1).unwrap();
+        let y = projected_tensor_threaded(&st, &init.factors[0], &init.factors[1], 1).unwrap();
         assert_eq!(y.shape(), &[3, 2, 8]);
     }
 }

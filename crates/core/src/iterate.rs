@@ -249,7 +249,7 @@ fn update_trailing_mode(
 mod tests {
     use super::*;
     use crate::config::DTuckerConfig;
-    use crate::init::initialize;
+    use crate::init::initialize_threaded;
     use crate::tucker::TuckerDecomp;
     use dtucker_tensor::random::low_rank_plus_noise;
     use rand::rngs::StdRng;
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn iterate_converges_on_noiseless_input() {
         let (x, st, cfg) = setup(&[20, 15, 10], &[3, 3, 3], 0.0, 1);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         let out = iterate(&st, &[3, 3, 3], init.factors, &cfg).unwrap();
         assert!(
             out.trace.converged,
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn iterate_improves_or_maintains_fit() {
         let (_, st, cfg) = setup(&[25, 20, 12], &[3, 3, 3], 0.2, 2);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         let out = iterate(&st, &[3, 3, 3], init.factors, &cfg).unwrap();
         let fits = &out.trace.sweep_fits;
         assert!(!fits.is_empty());
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn iterate_factors_stay_orthonormal() {
         let (_, st, cfg) = setup(&[18, 14, 9], &[4, 3, 2], 0.1, 3);
-        let init = initialize(&st, &[4, 3, 2]).unwrap();
+        let init = initialize_threaded(&st, &[4, 3, 2], 1).unwrap();
         let out = iterate(&st, &[4, 3, 2], init.factors, &cfg).unwrap();
         for f in &out.factors {
             assert!(f.has_orthonormal_cols(1e-7));
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn iterate_order4() {
         let (x, st, cfg) = setup(&[12, 10, 5, 4], &[2, 2, 2, 2], 0.0, 4);
-        let init = initialize(&st, &[2, 2, 2, 2]).unwrap();
+        let init = initialize_threaded(&st, &[2, 2, 2, 2], 1).unwrap();
         let out = iterate(&st, &[2, 2, 2, 2], init.factors, &cfg).unwrap();
         let d = TuckerDecomp {
             core: out.core,
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn iterate_matches_error_estimate() {
         let (x, st, cfg) = setup(&[20, 16, 10], &[3, 3, 3], 0.05, 5);
-        let init = initialize(&st, &[3, 3, 3]).unwrap();
+        let init = initialize_threaded(&st, &[3, 3, 3], 1).unwrap();
         let out = iterate(&st, &[3, 3, 3], init.factors, &cfg).unwrap();
         let d = TuckerDecomp {
             core: out.core,

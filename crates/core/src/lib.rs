@@ -65,7 +65,7 @@ pub mod trace;
 pub mod tucker;
 
 pub use config::{DTuckerConfig, SliceSvdKind};
-pub use dtucker::{decompose_to_target_error, DTucker, DTuckerOutput, InitStrategy, PhaseTimings};
+pub use dtucker::{decompose_to_target_error, DTucker, DTuckerOutput, InitStrategy};
 pub use error::{CoreError, Result};
 pub use iterate::{SweepHook, SweepSnapshot, SweepState};
 pub use profile::{anomalous_indices, error_profile_last_mode, PhaseProfile};

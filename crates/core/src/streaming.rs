@@ -10,6 +10,7 @@
 //! recomputing from scratch.
 
 use crate::config::DTuckerConfig;
+use crate::dtucker::{internal_ranks, to_original_order};
 use crate::error::{CoreError, Result};
 use crate::init::initialize_threaded;
 use crate::iterate::iterate;
@@ -19,7 +20,6 @@ use crate::trace::ConvergenceTrace;
 use crate::tucker::TuckerDecomp;
 use dtucker_linalg::matrix::Matrix;
 use dtucker_tensor::dense::DenseTensor;
-use dtucker_tensor::unfold::{inverse_permutation, permute};
 
 /// Incremental D-Tucker over a temporally growing tensor.
 #[derive(Debug, Clone)]
@@ -118,14 +118,7 @@ impl DTuckerStream {
 
     /// The current decomposition, with factors in the original mode order.
     pub fn decomposition(&self) -> Result<TuckerDecomp> {
-        let perm = self.sliced.perm();
-        let inv = inverse_permutation(perm);
-        let mut factors: Vec<Matrix> = vec![Matrix::zeros(0, 0); perm.len()];
-        for (p, f) in self.factors_int.iter().enumerate() {
-            factors[perm[p]] = f.clone();
-        }
-        let core = permute(&self.core_int, &inv)?;
-        Ok(TuckerDecomp { core, factors })
+        to_original_order(self.sliced.perm(), self.factors_int.clone(), &self.core_int)
     }
 
     /// The compressed representation accumulated so far.
@@ -142,10 +135,6 @@ impl DTuckerStream {
     pub fn last_trace(&self) -> &ConvergenceTrace {
         &self.last_trace
     }
-}
-
-fn internal_ranks(cfg: &DTuckerConfig, perm: &[usize]) -> Vec<usize> {
-    perm.iter().map(|&p| cfg.ranks[p]).collect()
 }
 
 #[cfg(test)]

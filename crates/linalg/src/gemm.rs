@@ -13,10 +13,8 @@
 //!
 //! Shape mismatches are programming errors (the shapes in every caller are
 //! derived from tensor metadata), so like slice indexing these functions
-//! panic on mismatch; `try_matmul` is the checked front door for user-facing
-//! code.
+//! panic on mismatch.
 
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::pool;
 
@@ -250,55 +248,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Range-GEMM: `A[r0..r1, :] * B` without materializing the row slice —
-/// the row range of a row-major matrix is a contiguous buffer window, so
-/// the packed kernel reads it in place. This is the building block of
-/// factored range queries, where a contraction touches only the requested
-/// rows of a factor matrix.
-///
-/// Returns an error if `a.cols() != b.rows()` or the range is not
-/// `r0 <= r1 <= a.rows()`.
-pub fn matmul_row_range(a: &Matrix, r0: usize, r1: usize, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_row_range",
-            details: format!("{:?} * {:?}", a.shape(), b.shape()),
-        });
-    }
-    if r0 > r1 || r1 > a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_row_range",
-            details: format!("rows {r0}..{r1} out of range for {:?}", a.shape()),
-        });
-    }
-    let (m, n, p) = (r1 - r0, a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, p);
-    if m == 0 {
-        return Ok(c);
-    }
-    matmul_into_threaded(
-        &a.as_slice()[r0 * n..r1 * n],
-        b.as_slice(),
-        c.as_mut_slice(),
-        m,
-        n,
-        p,
-        pool::threads_for_flops(2 * m * n * p),
-    );
-    Ok(c)
-}
-
-/// Checked variant of [`matmul`].
-pub fn try_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul",
-            details: format!("{:?} * {:?}", a.shape(), b.shape()),
-        });
-    }
-    Ok(matmul(a, b))
-}
-
 /// `Aᵀ * B`. Panics if `a.rows() != b.rows()`.
 pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
@@ -505,23 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_row_range_matches_submatrix() {
-        let a = random(23, 11, 3);
-        let b = random(11, 6, 4);
-        for &(r0, r1) in &[(0usize, 23usize), (5, 9), (0, 1), (22, 23), (7, 7)] {
-            let fast = matmul_row_range(&a, r0, r1, &b).unwrap();
-            let slow = matmul(&a.submatrix(r0, r1, 0, a.cols()), &b);
-            assert_eq!(fast.shape(), (r1 - r0, 6));
-            // Same kernel over the same contiguous bytes: bit-identical.
-            assert_eq!(fast.as_slice(), slow.as_slice(), "{r0}..{r1}");
-        }
-        // Bad shapes and ranges are typed errors, not panics.
-        assert!(matmul_row_range(&a, 0, 2, &random(7, 3, 5)).is_err());
-        assert!(matmul_row_range(&a, 9, 5, &b).is_err());
-        assert!(matmul_row_range(&a, 0, 24, &b).is_err());
-    }
-
-    #[test]
     fn matmul_handles_tile_edges() {
         // Shapes chosen to hit every remainder of the MR×NR tile and a
         // KC-boundary straddle.
@@ -678,14 +610,6 @@ mod tests {
                 assert_eq!(g.get(i, j), g.get(j, i));
             }
         }
-    }
-
-    #[test]
-    fn try_matmul_checks_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(try_matmul(&a, &b).is_err());
-        assert!(try_matmul(&a, &Matrix::zeros(3, 2)).is_ok());
     }
 
     #[test]

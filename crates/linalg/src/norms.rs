@@ -127,43 +127,6 @@ pub fn scale(v: &mut [f64], s: f64) {
     }
 }
 
-/// Estimates the spectral norm `σ₁(A)` with power iteration on `AᵀA`.
-///
-/// Deterministic start (all-ones, re-seeded with an index basis vector if
-/// that lies in the null space); `iters` ≈ 20 gives a few digits, which is
-/// all condition-number telemetry needs.
-pub fn spectral_norm_est(a: &crate::matrix::Matrix, iters: usize) -> f64 {
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return 0.0;
-    }
-    let mut v = vec![1.0f64; n];
-    let mut sigma = 0.0f64;
-    for it in 0..iters.max(1) {
-        // `v` is constructed with length `n` and `av` with length `m`, so
-        // these cannot mismatch; if the invariant ever broke, the best
-        // available estimate is returned rather than panicking.
-        let Ok(av) = a.matvec(&v) else {
-            return sigma;
-        };
-        let Ok(atav) = a.t_matvec(&av) else {
-            return sigma;
-        };
-        let norm = fro_norm(&atav);
-        if norm == 0.0 {
-            // Restart from a basis vector in case the start was unlucky.
-            v.iter_mut().for_each(|x| *x = 0.0);
-            v[it % n] = 1.0;
-            continue;
-        }
-        sigma = fro_norm(&av);
-        v = atav;
-        let inv = 1.0 / norm;
-        scale(&mut v, inv);
-    }
-    sigma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,23 +155,6 @@ mod tests {
         let n = fro_norm(&v);
         assert!(n > 0.0);
         assert!((n - tiny * std::f64::consts::SQRT_2).abs() / n < 1e-14);
-    }
-
-    #[test]
-    fn spectral_norm_matches_svd() {
-        use crate::matrix::Matrix;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = Matrix::from_fn(15, 11, |_, _| rng.gen_range(-1.0..1.0));
-        let est = spectral_norm_est(&a, 60);
-        let exact = crate::svd::svd(&a).unwrap().s[0];
-        assert!((est - exact).abs() < 1e-6 * exact, "{est} vs {exact}");
-        // Degenerate inputs.
-        assert_eq!(spectral_norm_est(&Matrix::zeros(0, 3), 5), 0.0);
-        assert_eq!(spectral_norm_est(&Matrix::zeros(4, 4), 5), 0.0);
-        // Diagonal case.
-        let d = Matrix::from_diag(&[2.0, 7.0, 1.0]);
-        assert!((spectral_norm_est(&d, 60) - 7.0).abs() < 1e-6);
     }
 
     #[test]

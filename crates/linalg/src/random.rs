@@ -24,17 +24,6 @@ pub fn gaussian_matrix<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -
     Matrix::from_fn(rows, cols, |_, _| gaussian(rng))
 }
 
-/// A `rows × cols` matrix of i.i.d. uniform entries in `[lo, hi)`.
-pub fn uniform_matrix<R: Rng + ?Sized>(
-    rows: usize,
-    cols: usize,
-    lo: f64,
-    hi: f64,
-    rng: &mut R,
-) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,12 +53,5 @@ mod tests {
         let b = gaussian_matrix(4, 5, &mut rng2);
         assert_eq!(a.shape(), (4, 5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn uniform_matrix_range() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let a = uniform_matrix(10, 10, -2.0, 3.0, &mut rng);
-        assert!(a.as_slice().iter().all(|&v| (-2.0..3.0).contains(&v)));
     }
 }

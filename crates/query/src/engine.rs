@@ -99,12 +99,6 @@ impl QueryEngine {
         &self.decomp
     }
 
-    /// A reference-counted handle to the decomposition, for building
-    /// further engines over the same model without copying it.
-    pub fn decomp_shared(&self) -> Arc<TuckerDecomp> {
-        Arc::clone(&self.decomp)
-    }
-
     /// Cache counter snapshot. Each query probes plan prefixes
     /// longest-first until one hits, so a cold order-`N` query records up
     /// to `N` misses and a fully warm one records a single hit.

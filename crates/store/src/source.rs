@@ -96,9 +96,14 @@ impl DtenSliceSource {
             PermutedSlices::new(&orig, perm).map_err(|e| StoreError::Mismatch(e.to_string()))?;
         // Validate the payload length once so later reads can't run off the
         // end of a truncated file.
-        let numel: u64 = orig.iter().map(|&d| d as u64).product();
         let data_offset = header_len(order);
-        let expected = data_offset + numel * 8;
+        let expected = orig
+            .iter()
+            .try_fold(8u64, |n, &d| n.checked_mul(d as u64))
+            .and_then(|bytes| bytes.checked_add(data_offset))
+            .ok_or_else(|| {
+                StoreError::Format(format!("{}: shape {orig:?} overflows", path.display()))
+            })?;
         let actual = file.metadata()?.len();
         if actual != expected {
             return Err(StoreError::Format(format!(
@@ -331,6 +336,24 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut src = DtenSliceSource::open(&path).unwrap();
         assert!(src.load_slice(99).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_shape_whose_size_overflows() {
+        // A 28-byte file whose dims [2^62, 4] hold 2^64 elements: an
+        // unchecked product wraps to 0 and passes the length check.
+        let path = tmpfile("overflow.dten");
+        let mut bytes = b"DTEN".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            DtenSliceSource::open_with_perm(&path, &[0, 1]),
+            Err(StoreError::Tensor(dtucker_tensor::TensorError::Format(_)))
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -44,35 +44,8 @@ pub fn to_bytes(t: &DenseTensor) -> Vec<u8> {
 
 /// Deserializes a tensor from bytes produced by [`to_bytes`].
 pub fn from_bytes(mut buf: &[u8]) -> Result<DenseTensor> {
-    if buf.remaining() < 12 {
-        return Err(TensorError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(TensorError::Format(format!("bad magic {magic:?}")));
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(TensorError::Format(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let order = buf.get_u32_le() as usize;
-    if order == 0 || order > 16 {
-        return Err(TensorError::Format(format!("implausible order {order}")));
-    }
-    if buf.remaining() < order * 8 {
-        return Err(TensorError::Format("truncated dims".into()));
-    }
-    let mut shape = Vec::with_capacity(order);
-    for _ in 0..order {
-        let d = buf.get_u64_le() as usize;
-        if d == 0 {
-            return Err(TensorError::Format("zero dimension".into()));
-        }
-        shape.push(d);
-    }
+    let shape = read_header(&mut buf)?;
+    // `read_header` has checked that the payload's byte count fits.
     let n = num_elements(&shape);
     if buf.remaining() != n * 8 {
         return Err(TensorError::Format(format!(
@@ -121,6 +94,16 @@ pub fn read_header(r: &mut impl Read) -> Result<Vec<usize>> {
             return Err(TensorError::Format("zero dimension".into()));
         }
         shape.push(d);
+    }
+    // An unchecked product would wrap and make a huge shape look empty.
+    if shape
+        .iter()
+        .try_fold(8usize, |n, &d| n.checked_mul(d))
+        .is_none()
+    {
+        return Err(TensorError::Format(format!(
+            "shape {shape:?} has more bytes than fit in memory"
+        )));
     }
     Ok(shape)
 }
@@ -250,6 +233,28 @@ mod tests {
         buf.put_u32_le(1);
         buf.put_u32_le(99); // implausible order
         assert!(from_bytes(&buf).is_err());
+    }
+
+    #[test]
+    fn rejects_shape_whose_size_overflows() {
+        // 2^62 · 4 elements wrap to 0, 2^61 · 8 bytes wrap to 0.
+        for dims in [[1u64 << 62, 4], [1u64 << 61, 1]] {
+            let mut buf = Vec::new();
+            buf.put_slice(b"DTEN");
+            buf.put_u32_le(1);
+            buf.put_u32_le(2);
+            buf.put_u64_le(dims[0]);
+            buf.put_u64_le(dims[1]);
+            assert!(matches!(
+                read_header(&mut &buf[..]),
+                Err(TensorError::Format(_))
+            ));
+            assert!(matches!(from_bytes(&buf), Err(TensorError::Format(_))));
+        }
+        assert!(matches!(
+            DenseTensor::zeros(&[1 << 62, 4]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
